@@ -138,6 +138,8 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
     input = parse_formula(args.input)
     goal = parse_formula(args.goal)
     max_worlds = _max_worlds(args)
+    if args.budget < 1:
+        raise CliError("--budget must be positive")
 
     query = LiftedQuery(norms, input, goal, args.mode)
     model = find_countermodel(query, max_worlds, budget=args.budget)
@@ -310,6 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         UnboundAtomError,
         SearchBudgetError,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

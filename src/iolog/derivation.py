@@ -14,11 +14,13 @@ weaken to the goal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable
 
 from .entail import DEFAULT_ATOM_LIMIT, entails, is_tautology
 from .formula import TOP, And, Formula, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
-from .output import Verdict, triggered_heads
+from .output import Verdict
 
 __all__ = [
     "Derivation",
@@ -201,14 +203,20 @@ def construct_derivation(
     the combined head to the goal; if that last entailment fails the goal
     is not derivable at all.
     """
+    triggered = (n for n in norms if entails((input,), n.body, atom_limit=atom_limit))
+    return _canonical_derivation(triggered, input, goal, atom_limit)
+
+
+def _canonical_derivation(
+    triggered: Iterable[Norm], input: Formula, goal: Formula, atom_limit: int
+) -> Derivation | None:
+    # ``triggered`` is not read when the goal is a tautology.
     if is_tautology(goal, atom_limit=atom_limit):
         return SO(WI(TopIntro(), input), goal)
-    triggered = [n for n in norms if entails((input,), n.body, atom_limit=atom_limit)]
-    if not triggered:
+    leaves = [WI(AxiomLeaf(norm), input) for norm in triggered]
+    if not leaves:
         return None
-    combined: Derivation = WI(AxiomLeaf(triggered[0]), input)
-    for norm in triggered[1:]:
-        combined = AND(combined, WI(AxiomLeaf(norm), input))
+    combined = reduce(AND, leaves)
     if not entails((conclusion(combined).head,), goal, atom_limit=atom_limit):
         return None
     return SO(combined, goal)
@@ -222,8 +230,9 @@ def derive_verdict(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> Verdict:
     """Membership verdict from the proof-theoretic engine, carrying the certificate."""
-    certificate = construct_derivation(norms, input, goal, atom_limit=atom_limit)
-    heads = triggered_heads(norms, input, atom_limit=atom_limit)
+    triggered = [n for n in norms if entails((input,), n.body, atom_limit=atom_limit)]
+    certificate = _canonical_derivation(triggered, input, goal, atom_limit)
+    heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 
 
@@ -272,19 +281,18 @@ def derivation_to_dict(d: Derivation) -> dict:
 
 
 def derivation_from_dict(record: dict) -> Derivation:
-    """Rebuild a derivation from its structured rendering."""
-    rule = record["rule"]
-    children = [derivation_from_dict(child) for child in record.get("children", ())]
-    if rule == "TOP":
-        return TopIntro()
-    if rule == "AX":
-        return AxiomLeaf(
-            Norm(parse_formula(record["conclusion_body"]), parse_formula(record["conclusion_head"]))
-        )
-    if rule == "SO":
-        return SO(children[0], parse_formula(record["param"]))
-    if rule == "WI":
-        return WI(children[0], parse_formula(record["param"]))
-    if rule == "AND":
-        return AND(children[0], children[1])
+    """Rebuild a derivation from its structured rendering; malformed records raise ValueError."""
+    try:
+        rule = record["rule"]
+        children = [derivation_from_dict(child) for child in record.get("children", ())]
+        # Each rule's constructor takes exactly its children, then its parameter.
+        if rule in ("TOP", "AND"):
+            return (TopIntro if rule == "TOP" else AND)(*children)
+        if rule == "AX":
+            body, head = record["conclusion_body"], record["conclusion_head"]
+            return AxiomLeaf(*children, Norm(parse_formula(body), parse_formula(head)))
+        if rule in ("SO", "WI"):
+            return (SO if rule == "SO" else WI)(*children, parse_formula(record["param"]))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed derivation record: {exc!r}") from None
     raise ValueError(f"unknown rule tag {rule!r}")

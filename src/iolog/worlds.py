@@ -1,29 +1,30 @@
 """Possible-worlds lifting of the output operation, and a countermodel finder.
 
 Formulas are reinterpreted as predicates over a finite, non-empty world
-set: an atom denotes the set of worlds where it holds and connectives
-act pointwise.  A lifted formula is valid in a model when it holds at
-every world.  Lifting is what makes nested entailment claims safe; the
-naive alternative, encoding "a entails s" as the plain Boolean
-implication a -> s, is classically valid in situations where the
-entailment fails, and ``naive_unfold_valid`` reproduces that unsound
-behaviour so it can be demonstrated and tested against the sound
-engines.
+set, evaluated by the bit-mask kernel of :mod:`iolog.entail` with bit w
+standing for world w.  A lifted formula is valid in a model when it holds
+at every world.  Lifting makes nested entailment claims safe; the naive
+alternative, encoding "a entails s" as the Boolean implication a -> s, is
+classically valid where the entailment fails.  ``naive_unfold_valid``
+runs the same per-norm "fits" masks over every valuation instead, so the
+two differ only in where the quantifiers sit: lifted pre-output asks that
+some norm fit at every world, the naive one that at every valuation some
+norm fit.
 
-The lifted output operation implemented here is the three-witness
-encoding (with a tautology disjunct covering the no-triggered-norm
-case), matching the approximation in :mod:`iolog.output`; the exact
-operation lives there.
+The lifted output operation is the three-witness encoding (with a
+tautology disjunct for the no-triggered-norm case), matching the
+approximation in :mod:`iolog.output`; the exact operation lives there.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import or_
 from typing import Literal, Mapping
 
-from .entail import DEFAULT_ATOM_LIMIT, AtomLimitError, UnboundAtomError, eval_formula
-from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, atoms
+from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
+from .formula import BOTTOM, Formula, atoms
 from .norms import NormSet
 from .output import Verdict, triggered_heads
 
@@ -84,7 +85,7 @@ class WorldModel:
 
 @dataclass(frozen=True)
 class LiftedQuery:
-    """A membership question posed to the lifted encodings."""
+    """A membership question posed to the lifted encodings or the naive unfolding."""
 
     norms: NormSet
     input: Formula
@@ -96,27 +97,16 @@ class LiftedQuery:
             raise ValueError(f"unknown mode {self.mode!r}; expected 'outpre' or 'out1'")
 
 
+def _model_masks(model: WorldModel) -> tuple[dict[str, int], int]:
+    """Atom masks over the model's worlds (bit w = world w), and the universe mask."""
+    env = {name: sum(1 << w for w in worlds) for name, worlds in model.extension.items()}
+    return env, (1 << model.world_count) - 1
+
+
 def lifted_extension(f: Formula, model: WorldModel) -> frozenset[int]:
     """The set of worlds where ``f`` holds, computed pointwise."""
-    match f:
-        case Atom(name):
-            try:
-                return model.extension[name]
-            except KeyError:
-                raise UnboundAtomError(name) from None
-        case Top():
-            return model.worlds
-        case Bottom():
-            return frozenset()
-        case Not(g):
-            return model.worlds - lifted_extension(g, model)
-        case And(l, r):
-            return lifted_extension(l, model) & lifted_extension(r, model)
-        case Or(l, r):
-            return lifted_extension(l, model) | lifted_extension(r, model)
-        case Implies(l, r):
-            return (model.worlds - lifted_extension(l, model)) | lifted_extension(r, model)
-    raise TypeError(f"not a formula: {f!r}")
+    mask = _truth_mask(f, *_model_masks(model))
+    return frozenset(w for w in model.worlds if mask >> w & 1)
 
 
 def lifted_valid(f: Formula, model: WorldModel) -> bool:
@@ -124,49 +114,54 @@ def lifted_valid(f: Formula, model: WorldModel) -> bool:
     return lifted_extension(f, model) == model.worlds
 
 
+def _fits(norms: NormSet, input: Formula, goal: Formula, env: Mapping[str, int], full: int):
+    """Per norm, lazily, the mask where it fits: its head agrees with the goal and its
+    body covers the input.  A body is skipped where its head agrees nowhere."""
+    goal, input = _truth_mask(goal, env, full), _truth_mask(input, env, full)
+    for n in norms:
+        agree = full ^ _truth_mask(n.head, env, full) ^ goal
+        yield agree and agree & (full ^ input | _truth_mask(n.body, env, full))
+
+
+def _outpre_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) -> bool:
+    return full in _fits(norms, input, goal, env, full)  # some norm fits at every world
+
+
+def _out1_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) -> bool:
+    if (goal := _truth_mask(goal, env, full)) == full:
+        return True
+    input = _truth_mask(input, env, full)
+    covering = (n for n in norms if not input & ~_truth_mask(n.body, env, full))
+    heads = {_truth_mask(n.head, env, full) for n in covering}
+    triples = itertools.combinations_with_replacement(heads, 3)
+    return any(not h & i & j & ~goal for h, i, j in triples)
+
+
 def outpre_member_lifted(
     norms: NormSet, input: Formula, goal: Formula, model: WorldModel
 ) -> bool:
     """Lifted pre-output membership: some norm has the goal as head and a body
-    covering the input, both read extensionally.
+    covering the input, both read extensionally, so it fits at every world.
 
     The encoding existentially quantifies over a witness predicate, but the
     witness must equal some norm body extensionally, so trying exactly the
     norm bodies is exhaustive.
     """
-    goal_ext = lifted_extension(goal, model)
-    input_ext = lifted_extension(input, model)
-    return any(
-        lifted_extension(n.head, model) == goal_ext
-        and input_ext <= lifted_extension(n.body, model)
-        for n in norms
-    )
+    return _outpre_lifted(norms, input, goal, *_model_masks(model))
 
 
 def out1_member_lifted(
     norms: NormSet, input: Formula, goal: Formula, model: WorldModel
 ) -> bool:
-    """Lifted output membership, three-witness style: the goal is valid outright,
-    or follows (validly, pointwise) from three pre-output members drawn from the
-    norm heads, repetition allowed."""
-    if lifted_valid(goal, model):
-        return True
-    candidates = [
-        head
-        for head in dict.fromkeys(n.head for n in norms)
-        if outpre_member_lifted(norms, input, head, model)
-    ]
-    return any(
-        lifted_valid(Implies(And(And(h, i), j), goal), model)
-        for h, i, j in itertools.combinations_with_replacement(candidates, 3)
-    )
+    """Lifted output membership, three-witness style: the goal is valid outright, or
+    follows (validly, pointwise) from three pre-output members, repetition allowed:
+    heads of norms whose body covers the input at every world."""
+    return _out1_lifted(norms, input, goal, *_model_masks(model))
 
 
 def _query_atoms(query: LiftedQuery) -> list[str]:
-    names = atoms(query.input) | atoms(query.goal)
-    for n in query.norms:
-        names |= atoms(n.body) | atoms(n.head)
-    return sorted(names)
+    fs = (query.input, query.goal, *(f for n in query.norms for f in (n.body, n.head)))
+    return sorted(frozenset().union(*map(atoms, fs)))
 
 
 def find_countermodel(
@@ -187,20 +182,17 @@ def find_countermodel(
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     names = _query_atoms(query)
-    member = outpre_member_lifted if query.mode == "outpre" else out1_member_lifted
+    member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
     for world_count in range(1, max_worlds + 1):
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
-        for masks in itertools.product(range(2**world_count), repeat=len(names)):
-            model = WorldModel(
-                world_count,
-                {
-                    name: frozenset(w for w in range(world_count) if mask >> w & 1)
-                    for name, mask in zip(names, masks)
-                },
-            )
-            if not member(query.norms, query.input, query.goal, model):
-                return model
+        full = (1 << world_count) - 1
+        for masks in itertools.product(range(full + 1), repeat=len(names)):
+            env = dict(zip(names, masks))
+            if not member(query.norms, query.input, query.goal, env, full):
+                worlds = range(world_count)
+                extension = {name: {w for w in worlds if m >> w & 1} for name, m in env.items()}
+                return WorldModel(world_count, extension)
     return None
 
 
@@ -240,37 +232,12 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    if mode not in ("outpre", "out1"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'outpre' or 'out1'")
-    names = atoms(input) | atoms(goal)
-    for n in norms:
-        names |= atoms(n.body) | atoms(n.head)
-    if len(names) > atom_limit:
-        raise AtomLimitError(len(names), atom_limit)
-    order = sorted(names)
-    for bits in itertools.product((False, True), repeat=len(order)):
-        valuation = dict(zip(order, bits))
-        input_v = eval_formula(input, valuation)
-        goal_v = eval_formula(goal, valuation)
-        if mode == "outpre":
-            ok = any(
-                ((not input_v) or eval_formula(n.body, valuation))
-                and goal_v == eval_formula(n.head, valuation)
-                for n in norms
-            )
-        else:
-            witnesses = {
-                eval_formula(n.head, valuation)
-                for n in norms
-                if (not input_v) or eval_formula(n.body, valuation)
-            }
-            ok = goal_v or any(
-                (not (h and i and j)) or goal_v
-                for h, i, j in itertools.product(sorted(witnesses), repeat=3)
-            )
-        if not ok:
-            return False
-    return True
+    env, full = _valuation_masks(_query_atoms(LiftedQuery(norms, input, goal, mode)), atom_limit)
+    if mode == "outpre":  # at every valuation some norm fits
+        return full in itertools.accumulate(_fits(norms, input, goal, env, full), or_)
+    # At every valuation the goal holds, or some norm's body covers the input and its head fails.
+    fail = _fits(norms, input, BOTTOM, env, full)
+    return full in itertools.accumulate(fail, or_, initial=_truth_mask(goal, env, full))
 
 
 def render_world_model(model: WorldModel) -> str:

@@ -38,6 +38,12 @@ class TestCheck:
         assert main(["check", "--norms", missing, "--input", "a", "--goal", "e"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_norms_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"(a, \xe9)\n")
+        assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_derivation_engine_prints_certificate(self, norms_file, capsys):
         rc = main(
             ["check", "--norms", norms_file, "--input", "a", "--goal", "e",
@@ -146,6 +152,15 @@ class TestCountermodel:
         )
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_below_one_is_a_config_error(self, norms_file, capsys):
+        for budget in ("0", "-5"):
+            rc = main(
+                ["countermodel", "--norms", norms_file, "--input", "a", "--goal", "e",
+                 "--budget", budget]
+            )
+            assert rc == 2
+            assert "--budget must be positive" in capsys.readouterr().err
 
     def test_structured_output_contains_model(self, norms_file, capsys):
         rc = main(

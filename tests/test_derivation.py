@@ -228,3 +228,20 @@ class TestStructuredForm:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             derivation_from_dict({"rule": "XX", "children": []})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"rule": "SO", "children": []},
+            {"rule": "SO", "children": [], "param": "e"},
+            {"rule": "AX"},
+            {"rule": "AND", "children": [{"rule": "TOP"}]},
+            {"rule": "TOP", "children": [{"rule": "TOP"}]},
+            {"children": []},
+            {"rule": "WI", "children": "x", "param": "a"},
+            ["not", "a", "record"],
+        ],
+    )
+    def test_malformed_record_raises_value_error(self, record):
+        with pytest.raises(ValueError):
+            derivation_from_dict(record)

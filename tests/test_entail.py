@@ -39,6 +39,11 @@ class TestEval:
             eval_formula(Or(A, B), {"a": False})
         assert err.value.atom == "b"
 
+    def test_right_operand_is_skipped_when_the_left_decides(self):
+        assert eval_formula(Or(A, B), {"a": True}) is True
+        assert eval_formula(And(A, B), {"a": False}) is False
+        assert eval_formula(Implies(A, B), {"a": False}) is True
+
 
 class TestEntails:
     def test_weakening(self):
