@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
 
-from .entail import DEFAULT_ATOM_LIMIT, entails, is_tautology
+from .entail import DEFAULT_ATOM_LIMIT, _Tables, entails
 from .formula import TOP, And, Formula, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
-from .output import Verdict
+from .output import Verdict, _query_formulas, _triggered
 
 __all__ = [
     "Derivation",
@@ -203,23 +202,7 @@ def construct_derivation(
     the combined head to the goal; if that last entailment fails the goal
     is not derivable at all.
     """
-    triggered = (n for n in norms if entails((input,), n.body, atom_limit=atom_limit))
-    return _canonical_derivation(triggered, input, goal, atom_limit)
-
-
-def _canonical_derivation(
-    triggered: Iterable[Norm], input: Formula, goal: Formula, atom_limit: int
-) -> Derivation | None:
-    # ``triggered`` is not read when the goal is a tautology.
-    if is_tautology(goal, atom_limit=atom_limit):
-        return SO(WI(TopIntro(), input), goal)
-    leaves = [WI(AxiomLeaf(norm), input) for norm in triggered]
-    if not leaves:
-        return None
-    combined = reduce(AND, leaves)
-    if not entails((conclusion(combined).head,), goal, atom_limit=atom_limit):
-        return None
-    return SO(combined, goal)
+    return derive_verdict(norms, input, goal, atom_limit=atom_limit).certificate
 
 
 def derive_verdict(
@@ -230,9 +213,15 @@ def derive_verdict(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> Verdict:
     """Membership verdict from the proof-theoretic engine, carrying the certificate."""
-    triggered = [n for n in norms if entails((input,), n.body, atom_limit=atom_limit)]
-    certificate = _canonical_derivation(triggered, input, goal, atom_limit)
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    triggered = _triggered(norms, input, tables)
     heads = frozenset(n.head for n in triggered)
+    certificate = None
+    if tables.mask(goal) == tables.full:
+        certificate = SO(WI(TopIntro(), input), goal)
+    elif triggered and not tables.counterexamples((n.head for n in triggered), goal):
+        # The combined head's table is the conjunction of the heads' tables.
+        certificate = SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 
 

@@ -5,14 +5,16 @@ formula is evaluated over a whole universe of points at once: an integer
 whose bit i says whether it holds at point i (Knuth, TAOCP 4A, 7.1).
 Entailment's universe is every valuation of the atoms involved, guarded
 by a hard atom limit (default 16, a 65536-bit table); :mod:`iolog.worlds`
-uses the worlds of a model.  All functions are pure and thread-safe.
+uses the worlds of a model.  An engine call builds one set of tables over
+the joint atoms of its whole query, which is what the atom limit counts.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, atoms
+from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _atom_names
 
 __all__ = [
     "DEFAULT_ATOM_LIMIT",
@@ -74,15 +76,33 @@ def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _valuation_masks(names: list[str], atom_limit: int) -> tuple[dict[str, int], int]:
-    """Atom masks over all valuations of ``names``, and the universe mask.  Point i
-    is the i-th valuation ``itertools.product`` yields: the last name cycles fastest."""
-    if len(names) > atom_limit:
-        raise AtomLimitError(len(names), atom_limit)
-    full = (1 << (1 << len(names))) - 1
-    runs = {name: 1 << k for k, name in enumerate(reversed(names))}  # points in a row that agree
-    env = {name: (((1 << r) - 1) << r) * (full // ((1 << 2 * r) - 1)) for name, r in runs.items()}
-    return env, full
+class _Tables:
+    """One engine call's truth tables over every valuation of the joint atoms of
+    ``formulas``.  Point i is the i-th valuation ``itertools.product`` yields over
+    the sorted names: the last name cycles fastest.  Each formula's mask is memoised
+    by identity, so ask only for formulas that outlive the tables."""
+
+    def __init__(self, formulas: Iterable[Formula], atom_limit: int):
+        self.names = names = sorted(_atom_names(formulas))
+        if len(names) > atom_limit:
+            raise AtomLimitError(len(names), atom_limit)
+        self.full = full = (1 << (1 << len(names))) - 1
+        runs = [1 << k for k in reversed(range(len(names)))]  # points in a row that agree
+        # A name holds at bits r..2r-1 of every 2r: full // (2^r + 1) has bits 0..r-1.
+        self.env = {name: full // ((1 << r) + 1) << r for name, r in zip(names, runs)}
+        self._memo: dict[int, int] = {}
+
+    def mask(self, f: Formula) -> int:
+        if (m := self._memo.get(id(f))) is None:
+            m = self._memo[id(f)] = _truth_mask(f, self.env, self.full)
+        return m
+
+    def counterexamples(self, premises: Iterable[Formula], conclusion: Formula) -> int:
+        """Mask of the valuations satisfying every premise and falsifying the conclusion."""
+        witnesses = self.full ^ self.mask(conclusion)
+        for f in premises:
+            witnesses = witnesses and witnesses & self.mask(f)
+        return witnesses
 
 
 def eval_formula(f: Formula, valuation: Valuation) -> bool:
@@ -103,15 +123,12 @@ def counterexample_valuation(
     witness returned, the lowest set bit of the truth tables' conjunction,
     is deterministic.  Returns None when the entailment holds.
     """
-    fs = (*premises, Not(conclusion))
-    names = sorted(frozenset().union(*(atoms(f) for f in fs)))
-    env, full = _valuation_masks(names, atom_limit)
-    witnesses = full
-    for f in fs:
-        witnesses = witnesses and witnesses & _truth_mask(f, env, full)
+    premises = tuple(premises)
+    tables = _Tables((*premises, conclusion), atom_limit)
+    witnesses = tables.counterexamples(premises, conclusion)
     if not witnesses:
         return None
-    point = (witnesses & -witnesses).bit_length() - 1
+    point, names = (witnesses & -witnesses).bit_length() - 1, tables.names
     return {name: bool(point >> (len(names) - 1 - k) & 1) for k, name in enumerate(names)}
 
 
@@ -122,7 +139,8 @@ def entails(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> bool:
     """Classical entailment: every valuation satisfying the premises satisfies the conclusion."""
-    return counterexample_valuation(premises, conclusion, atom_limit=atom_limit) is None
+    premises = tuple(premises)
+    return not _Tables((*premises, conclusion), atom_limit).counterexamples(premises, conclusion)
 
 
 def is_tautology(f: Formula, *, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:

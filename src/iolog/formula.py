@@ -5,7 +5,8 @@ The formula language has lowercase atoms, the constants ``true`` and
 ``|`` (disjunction), and ``->`` (implication).  Precedence, lowest to
 highest: ``->`` (right-associative), ``|``, ``&`` (left-associative),
 ``!`` (prefix).  Whitespace is insignificant and ``#`` starts a comment
-running to the end of the line.
+running to the end of the line.  Nesting deeper than ``MAX_DEPTH`` levels,
+each connective and each pair of parentheses being one, is a syntax error.
 
 Formula values are immutable and compare structurally; two formulas
 print identically exactly when they are structurally equal.  No
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Formula",
@@ -37,6 +38,7 @@ __all__ = [
 
 _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _RESERVED = frozenset({"true", "false"})
+MAX_DEPTH = 100  # so that parsed formulas evaluate, print, compare and hash without overflow
 
 
 class FormulaSyntaxError(ValueError):
@@ -104,16 +106,24 @@ BOTTOM = Bottom()
 
 def atoms(f: Formula) -> frozenset[str]:
     """The set of atom names occurring in ``f``."""
-    match f:
-        case Atom(name):
-            return frozenset((name,))
-        case Top() | Bottom():
-            return frozenset()
-        case Not(g):
-            return atoms(g)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return atoms(l) | atoms(r)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(_atom_names((f,)))
+
+
+def _atom_names(formulas: Iterable[Formula]) -> set[str]:
+    """The atom names occurring in any of ``formulas``, by one iterative walk."""
+    names: set[str] = set()
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()  # isinstance tests: several times faster than ``match`` here
+        if isinstance(f, Atom):
+            names.add(f.name)
+        elif isinstance(f, Not):
+            stack.append(f.operand)
+        elif isinstance(f, (And, Or, Implies)):
+            stack += (f.left, f.right)
+        elif not isinstance(f, (Top, Bottom)):
+            raise TypeError(f"not a formula: {f!r}")
+    return names
 
 
 # Precedence levels used by the printer; parentheses are emitted only
@@ -201,9 +211,12 @@ def _describe(tok: _Token) -> str:
 
 
 class _Parser:
+    """Recursive descent; each method returns a formula and its nesting depth."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # levels opened around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -213,49 +226,62 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def implication(self) -> Formula:
+    def level(self, tok: _Token, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(tok.pos, f"formula nested more than {MAX_DEPTH} levels deep")
+        return depth
+
+    def nested(self, parse) -> tuple[Formula, int]:
+        """Consume a '(', '!' or '->' and parse the level it opens, if allowed."""
+        self.open = self.level(self.advance(), self.open + 1)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def node(self, tok: _Token, cls, *parts: tuple[Formula, int]) -> tuple[Formula, int]:
+        depth = self.level(tok, 1 + max(d for _, d in parts))
+        return cls(*(f for f, _ in parts)), depth
+
+    def implication(self) -> tuple[Formula, int]:
         left = self.disjunction()
-        if self.peek().kind == "implies":
-            self.advance()
-            return Implies(left, self.implication())
+        if (tok := self.peek()).kind == "implies":
+            return self.node(tok, Implies, left, self.nested(self.implication))
         return left
 
-    def disjunction(self) -> Formula:
+    def disjunction(self) -> tuple[Formula, int]:
         f = self.conjunction()
-        while self.peek().kind == "or":
+        while (tok := self.peek()).kind == "or":
             self.advance()
-            f = Or(f, self.conjunction())
+            f = self.node(tok, Or, f, self.conjunction())
         return f
 
-    def conjunction(self) -> Formula:
+    def conjunction(self) -> tuple[Formula, int]:
         f = self.unary()
-        while self.peek().kind == "and":
+        while (tok := self.peek()).kind == "and":
             self.advance()
-            f = And(f, self.unary())
+            f = self.node(tok, And, f, self.unary())
         return f
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind == "not":
-            self.advance()
-            return Not(self.unary())
+            return self.node(tok, Not, self.nested(self.unary))
         if tok.kind == "true":
             self.advance()
-            return TOP
+            return TOP, 0
         if tok.kind == "false":
             self.advance()
-            return BOTTOM
+            return BOTTOM, 0
         if tok.kind == "atom":
             self.advance()
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         if tok.kind == "lparen":
-            self.advance()
-            f = self.implication()
+            f, depth = self.nested(self.implication)
             closing = self.peek()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError(closing.pos, f"expected ')', found {_describe(closing)}")
             self.advance()
-            return f
+            return f, self.level(tok, depth + 1)
         raise FormulaSyntaxError(
             tok.pos,
             f"expected a formula (atom, 'true', 'false', '!' or '('), found {_describe(tok)}",
@@ -265,7 +291,7 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse formula text, raising :class:`FormulaSyntaxError` on bad input."""
     parser = _Parser(_tokenize(text))
-    f = parser.implication()
+    f, _ = parser.implication()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise FormulaSyntaxError(trailing.pos, f"unexpected {_describe(trailing)} after the formula")

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from .entail import DEFAULT_ATOM_LIMIT, entails, is_tautology
+from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula
-from .norms import NormSet
+from .norms import Norm, NormSet
 
 if TYPE_CHECKING:  # certificate types; imported lazily to avoid cycles
     from .derivation import Derivation
@@ -54,6 +54,23 @@ class Verdict:
     certificate: "Derivation | WorldModel | None" = None
 
 
+def _query_formulas(norms: NormSet, input: Formula, goal: Formula) -> tuple[Formula, ...]:
+    return (input, goal, *(f for n in norms for f in (n.body, n.head)))
+
+
+def _triggered(norms: NormSet, input: Formula, tables: _Tables) -> list[Norm]:
+    """The norms whose body the input entails, in norm-set order."""
+    input = tables.mask(input)
+    return [n for n in norms if not input & ~tables.mask(n.body)]
+
+
+def _triple_holds(heads: set[int], goal: int, full: int) -> bool:
+    """Three-witness test on masks: the goal holds everywhere, or no point satisfies
+    three of the heads (repetition allowed) and falsifies the goal."""
+    triples = itertools.combinations_with_replacement(heads, 3)
+    return goal == full or any(not h & i & j & ~goal for h, i, j in triples)
+
+
 def triggered_heads(
     norms: NormSet,
     input: Formula,
@@ -61,9 +78,8 @@ def triggered_heads(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> frozenset[Formula]:
     """Heads of the norms whose body is entailed by the input."""
-    return frozenset(
-        n.head for n in norms if entails((input,), n.body, atom_limit=atom_limit)
-    )
+    tables = _Tables((input, *(n.body for n in norms)), atom_limit)
+    return frozenset(n.head for n in _triggered(norms, input, tables))
 
 
 def source_ordered_heads(norms: NormSet, heads: frozenset[Formula]) -> tuple[Formula, ...]:
@@ -88,9 +104,10 @@ def out1_member(
     triggered head this degenerates to a tautology check: tautologies are
     output in every situation, nothing else is.
     """
-    heads = triggered_heads(norms, input, atom_limit=atom_limit)
-    holds = entails(heads, goal, atom_limit=atom_limit)
-    return Verdict(holds, "semantic", triggered=heads)
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    triggered = _triggered(norms, input, tables)
+    holds = not tables.counterexamples((n.head for n in triggered), goal)
+    return Verdict(holds, "semantic", triggered=frozenset(n.head for n in triggered))
 
 
 def out1_member_multi(
@@ -126,12 +143,7 @@ def out1_triple_approx(
     qualify).  Sound but incomplete: consequences needing four or more
     distinct heads are missed.
     """
-    heads = triggered_heads(norms, input, atom_limit=atom_limit)
-    holds = is_tautology(goal, atom_limit=atom_limit)
-    if not holds:
-        witnesses = source_ordered_heads(norms, heads)
-        holds = any(
-            entails(triple, goal, atom_limit=atom_limit)
-            for triple in itertools.combinations_with_replacement(witnesses, 3)
-        )
-    return Verdict(holds, "triple-approx", triggered=heads)
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    triggered = _triggered(norms, input, tables)
+    holds = _triple_holds({tables.mask(n.head) for n in triggered}, tables.mask(goal), tables.full)
+    return Verdict(holds, "triple-approx", triggered=frozenset(n.head for n in triggered))

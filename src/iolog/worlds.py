@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Literal, Mapping
 
-from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
-from .formula import BOTTOM, Formula, atoms
+from .entail import DEFAULT_ATOM_LIMIT, _Tables, _truth_mask
+from .formula import BOTTOM, Formula, _atom_names
 from .norms import NormSet
-from .output import Verdict, triggered_heads
+from .output import Verdict, _query_formulas, _triple_holds, triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -132,9 +132,7 @@ def _out1_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) 
         return True
     input = _truth_mask(input, env, full)
     covering = (n for n in norms if not input & ~_truth_mask(n.body, env, full))
-    heads = {_truth_mask(n.head, env, full) for n in covering}
-    triples = itertools.combinations_with_replacement(heads, 3)
-    return any(not h & i & j & ~goal for h, i, j in triples)
+    return _triple_holds({_truth_mask(n.head, env, full) for n in covering}, goal, full)
 
 
 def outpre_member_lifted(
@@ -159,11 +157,6 @@ def out1_member_lifted(
     return _out1_lifted(norms, input, goal, *_model_masks(model))
 
 
-def _query_atoms(query: LiftedQuery) -> list[str]:
-    fs = (query.input, query.goal, *(f for n in query.norms for f in (n.body, n.head)))
-    return sorted(frozenset().union(*map(atoms, fs)))
-
-
 def find_countermodel(
     query: LiftedQuery,
     max_worlds: int,
@@ -181,7 +174,7 @@ def find_countermodel(
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    names = _query_atoms(query)
+    names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
     member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
     for world_count in range(1, max_worlds + 1):
         if world_count * len(names) > budget:
@@ -232,7 +225,9 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    env, full = _valuation_masks(_query_atoms(LiftedQuery(norms, input, goal, mode)), atom_limit)
+    LiftedQuery(norms, input, goal, mode)  # rejects an unknown mode
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    env, full = tables.env, tables.full
     if mode == "outpre":  # at every valuation some norm fits
         return full in itertools.accumulate(_fits(norms, input, goal, env, full), or_)
     # At every valuation the goal holds, or some norm's body covers the input and its head fails.

@@ -11,6 +11,7 @@ import itertools
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from iolog import (
@@ -138,3 +139,28 @@ def formulas(names=("a", "b", "c"), max_leaves: int = 8):
 def norm_sets(names=("a", "b", "c"), max_norms: int = 4):
     norm = st.builds(Norm, formulas(names, max_leaves=4), formulas(names, max_leaves=4))
     return st.builds(NormSet, st.lists(norm, max_size=max_norms).map(tuple))
+
+
+# --- deeply nested formula text -----------------------------------------
+
+NESTINGS = ("!", "&", "->", "(")
+
+
+def nested_text(kind: str, depth: int) -> str:
+    """Formula text over atom ``a`` nested ``depth`` levels deep by one construct:
+    prefix negations, a conjunction or implication chain, or parentheses."""
+    if kind == "!":
+        return "!" * depth + "a"
+    if kind == "(":
+        return "(" * depth + "a" + ")" * depth
+    return f" {kind} ".join(["a"] * (depth + 1))
+
+
+# The inputs that once overflowed the parser's recursion, and the 1-based
+# position of the token that opens level 101.
+TOO_DEEP = (
+    pytest.param("!", 5000, 101, id="5000 nested !"),
+    pytest.param("&", 2999, 403, id="3000-term & chain"),
+    pytest.param("->", 2999, 503, id="3000-term -> chain"),
+    pytest.param("(", 400, 101, id="400 nested parentheses"),
+)

@@ -3,17 +3,40 @@
 These are the evaluators iolog used before its engines moved onto one
 bit-mask truth-table kernel: a tree walker over world sets, the lifted
 membership tests and countermodel enumerator built on it, and the naive
-unfolding checked one valuation at a time.  They evaluate with the
-oracle in ``conftest.py`` and never call iolog's kernel, so the tests can
-compare the mask engines against them.
+unfolding checked one valuation at a time.  The ``per_entailment_``
+engines decide membership the way iolog did before each engine call
+built one set of truth tables for its whole query: one separate
+entailment per triggered body, per witness triple and per side
+condition.  They evaluate with the oracle in ``conftest.py`` and never
+call iolog's kernel, so the tests can compare the mask engines against
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
-from conftest import oracle_atoms, oracle_eval, oracle_valuations
-from iolog import And, Atom, Bottom, Implies, Not, Or, Top, UnboundAtomError, WorldModel
+from conftest import oracle_atoms, oracle_entails, oracle_eval, oracle_valuations
+from iolog import (
+    AND,
+    SO,
+    WI,
+    And,
+    Atom,
+    AxiomLeaf,
+    Bottom,
+    Implies,
+    Not,
+    Or,
+    Top,
+    TopIntro,
+    UnboundAtomError,
+    Verdict,
+    WorldModel,
+    conclusion,
+    source_ordered_heads,
+)
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:
@@ -120,3 +143,42 @@ def first_counterexample(premises, conclusion) -> dict[str, bool] | None:
         if all(oracle_eval(p, env) for p in premises) and not oracle_eval(conclusion, env):
             return env
     return None
+
+
+def per_entailment_triggered(norms, input) -> list:
+    return [n for n in norms if oracle_entails((input,), n.body)]
+
+
+def per_entailment_triggered_heads(norms, input) -> frozenset:
+    return frozenset(n.head for n in per_entailment_triggered(norms, input))
+
+
+def per_entailment_out1_member(norms, input, goal) -> Verdict:
+    heads = per_entailment_triggered_heads(norms, input)
+    return Verdict(oracle_entails(heads, goal), "semantic", triggered=heads)
+
+
+def per_entailment_out1_triple_approx(norms, input, goal) -> Verdict:
+    heads = per_entailment_triggered_heads(norms, input)
+    triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
+    holds = oracle_entails((), goal) or any(oracle_entails(t, goal) for t in triples)
+    return Verdict(holds, "triple-approx", triggered=heads)
+
+
+def per_entailment_construct_derivation(norms, input, goal):
+    """The canonical derivation, its final SO side condition checked on the combined head."""
+    if oracle_entails((), goal):
+        return SO(WI(TopIntro(), input), goal)
+    leaves = [WI(AxiomLeaf(n), input) for n in per_entailment_triggered(norms, input)]
+    if not leaves:
+        return None
+    combined = reduce(AND, leaves)
+    if not oracle_entails((conclusion(combined).head,), goal):
+        return None
+    return SO(combined, goal)
+
+
+def per_entailment_derive_verdict(norms, input, goal) -> Verdict:
+    certificate = per_entailment_construct_derivation(norms, input, goal)
+    heads = per_entailment_triggered_heads(norms, input)
+    return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)

@@ -6,8 +6,10 @@ import pytest
 
 import iolog.derivation
 import iolog.worlds
+from conftest import NESTINGS, TOO_DEEP, nested_text
 from iolog import SO, TOP, WI, TopIntro
 from iolog.cli import main
+from iolog.formula import MAX_DEPTH
 
 
 @pytest.fixture
@@ -115,12 +117,49 @@ class TestAtomLimit:
         assert main(["check", "--norms", norms_file, "--input", "a", "--goal", "e"]) == 2
         assert "IOLOG_ATOM_LIMIT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["semantic", "derivation"])
+    def test_limit_counts_the_whole_query(self, tmp_path, engine, capsys):
+        """Each entailment has at most 16 atoms, the query 17."""
+        path = tmp_path / "wide.txt"
+        path.write_text("(a, " + " & ".join(f"b{i}" for i in range(1, 9)) + ")\n")
+        goal = " | ".join(f"b{i}" for i in range(9, 17))
+        argv = ["check", "--norms", str(path), "--input", "a", "--goal", goal, "--engine", engine]
+        assert main(argv) == 2
+        assert "17 atoms" in capsys.readouterr().err
+
     def test_nonpositive_limit_rejected(self, norms_file, capsys):
         rc = main(
             ["check", "--norms", norms_file, "--input", "a", "--goal", "e",
              "--atom-limit", "0"]
         )
         assert rc == 2
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("kind, depth, position", TOO_DEEP)
+    def test_too_deep_input_exits_two(self, norms_file, kind, depth, position, capsys):
+        argv = ["check", "--norms", norms_file, "--input", nested_text(kind, depth), "--goal", "e"]
+        assert main(argv) == 2
+        assert f"position {position}: formula nested more than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, depth, position", TOO_DEEP)
+    def test_too_deep_norm_exits_two(self, tmp_path, kind, depth, position, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"(a, e)\n({nested_text(kind, depth)}, e)\n")
+        assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
+        assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_formula_at_the_limit_renders_structured_output(self, tmp_path, kind, capsys):
+        text = nested_text(kind, MAX_DEPTH)
+        path = tmp_path / "deep.txt"
+        path.write_text(f"({text}, {text})\n")
+        argv = ["check", "--norms", str(path), "--input", text, "--goal", text,
+                "--engine", "derivation", "--format", "structured"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate"]["rule"] == "SO"
+        assert iolog.derivation.derivation_from_dict(doc["certificate"]) is not None
 
 
 class TestCountermodel:

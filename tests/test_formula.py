@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import formulas
+from conftest import NESTINGS, TOO_DEEP, formulas, nested_text
 from iolog import (
     BOTTOM,
     TOP,
@@ -14,9 +14,11 @@ from iolog import (
     Not,
     Or,
     atoms,
+    eval_formula,
     parse_formula,
     print_formula,
 )
+from iolog.formula import MAX_DEPTH
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -91,6 +93,34 @@ class TestParseErrors:
         assert err.value.position == 5
 
 
+class TestNestingLimit:
+    @pytest.mark.parametrize("kind, depth, position", TOO_DEEP)
+    def test_too_deep_is_a_positioned_syntax_error(self, kind, depth, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(nested_text(kind, depth))
+        assert err.value.position == position
+        assert f"nested more than {MAX_DEPTH} levels" in str(err.value)
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_one_level_past_the_limit_is_rejected(self, kind):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(nested_text(kind, MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_formula_at_the_limit_evaluates_prints_and_hashes(self, kind):
+        text = nested_text(kind, MAX_DEPTH)
+        f = parse_formula(text)
+        assert eval_formula(f, {"a": True}) is True
+        again = parse_formula(print_formula(f))
+        assert again == f and hash(again) == hash(f)
+        assert repr(f).count("Atom") == text.count("a")
+
+    def test_levels_of_different_kinds_add_up(self):
+        parse_formula("!(" * 50 + "a" + ")" * 50)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("!(" * 50 + "a & a" + ")" * 50)
+
+
 class TestAtomInvariants:
     def test_reserved_words_are_not_atom_names(self):
         with pytest.raises(ValueError):
@@ -133,6 +163,16 @@ class TestAtoms:
 
     def test_duplicates_collapse(self):
         assert atoms(And(A, Not(A))) == {"a"}
+
+    def test_deep_formula_is_walked_without_recursion(self):
+        f = A
+        for _ in range(5000):
+            f = Not(And(f, B))
+        assert atoms(f) == {"a", "b"}
+
+    def test_non_formula_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            atoms(And(A, "b"))
 
 
 class TestRoundTrip:

@@ -1,28 +1,44 @@
 """The bit-mask engines against the pointwise references in ``pointwise.py``."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import formulas, norm_sets, oracle_eval
 from iolog import (
     TOP,
     Atom,
+    AtomLimitError,
     LiftedQuery,
+    Norm,
     NormSet,
     Or,
     WorldModel,
+    atoms,
+    construct_derivation,
     counterexample_valuation,
+    derive_verdict,
+    entails,
     eval_formula,
     find_countermodel,
     lifted_extension,
     lifted_valid,
     naive_unfold_valid,
+    out1_member,
     out1_member_lifted,
+    out1_triple_approx,
     outpre_member_lifted,
+    parse_formula,
     parse_norms,
+    triggered_heads,
+    verify_derivation,
 )
 from pointwise import (
     first_counterexample,
+    per_entailment_derive_verdict,
+    per_entailment_out1_member,
+    per_entailment_out1_triple_approx,
+    per_entailment_triggered_heads,
     walk_extension,
     walk_find_countermodel,
     walk_naive_unfold_valid,
@@ -107,3 +123,37 @@ class TestFindCountermodel:
     def test_no_norms_refute_a_non_tautological_goal_at_one_world(self):
         query = LiftedQuery(NormSet(), Atom("a"), Atom("b"), "out1")
         assert find_countermodel(query, 3) == walk_find_countermodel(query, 3)
+
+
+# Each entailment of this query stays within 16 atoms (the input and the body
+# share one atom, the head and the goal have 16), but the query has 17.
+LIMIT_NORMS = parse_norms("(a, " + " & ".join(f"b{i}" for i in range(1, 9)) + ")")
+LIMIT_GOAL = parse_formula(" | ".join(f"b{i}" for i in range(9, 17)))
+
+
+class TestQueryTables:
+    @settings(max_examples=200)
+    @given(norm_sets(), formulas(max_leaves=4), formulas(max_leaves=4))
+    def test_engines_match_the_per_entailment_references(self, norms, input, goal):
+        assert triggered_heads(norms, input) == per_entailment_triggered_heads(norms, input)
+        assert out1_member(norms, input, goal) == per_entailment_out1_member(norms, input, goal)
+        assert out1_triple_approx(norms, input, goal) == per_entailment_out1_triple_approx(
+            norms, input, goal
+        )
+        verdict = derive_verdict(norms, input, goal)
+        assert verdict == per_entailment_derive_verdict(norms, input, goal)
+        assert construct_derivation(norms, input, goal) == verdict.certificate
+        if verdict.certificate is not None:
+            assert verify_derivation(norms, verdict.certificate, Norm(input, goal)) is None
+
+    def test_atom_limit_counts_the_whole_query(self):
+        (norm,) = LIMIT_NORMS
+        input = Atom("a")
+        assert len(atoms(input) | atoms(norm.body)) == 1
+        assert len(atoms(norm.head) | atoms(LIMIT_GOAL)) == 16
+        assert not entails((norm.head,), LIMIT_GOAL)  # each entailment alone is allowed
+        assert triggered_heads(LIMIT_NORMS, input) == {norm.head}  # input and bodies only
+        for engine in (out1_member, derive_verdict):
+            with pytest.raises(AtomLimitError) as err:
+                engine(LIMIT_NORMS, input, LIMIT_GOAL)
+            assert (err.value.count, err.value.limit) == (17, 16)
