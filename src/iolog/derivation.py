@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterable
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables, entails
 from .formula import TOP, And, Formula, parse_formula, print_formula
@@ -202,7 +203,21 @@ def construct_derivation(
     the combined head to the goal; if that last entailment fails the goal
     is not derivable at all.
     """
-    return derive_verdict(norms, input, goal, atom_limit=atom_limit).certificate
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    return _canonical_derivation(_triggered(norms, input, tables), input, goal, tables)
+
+
+def _canonical_derivation(
+    triggered: Iterable[Norm], input: Formula, goal: Formula, tables: _Tables
+) -> Derivation | None:
+    # ``triggered`` is not read when the goal is a tautology.
+    if tables.entails((), goal):
+        return SO(WI(TopIntro(), input), goal)
+    triggered = list(triggered)
+    # The combined head is the conjunction of the triggered heads.
+    if not triggered or not tables.entails([n.head for n in triggered], goal):
+        return None
+    return SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
 
 
 def derive_verdict(
@@ -214,14 +229,9 @@ def derive_verdict(
 ) -> Verdict:
     """Membership verdict from the proof-theoretic engine, carrying the certificate."""
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    triggered = _triggered(norms, input, tables)
+    triggered = list(_triggered(norms, input, tables))
+    certificate = _canonical_derivation(triggered, input, goal, tables)
     heads = frozenset(n.head for n in triggered)
-    certificate = None
-    if tables.mask(goal) == tables.full:
-        certificate = SO(WI(TopIntro(), input), goal)
-    elif triggered and not tables.counterexamples((n.head for n in triggered), goal):
-        # The combined head's table is the conjunction of the heads' tables.
-        certificate = SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 
 

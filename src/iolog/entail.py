@@ -5,9 +5,8 @@ formula is evaluated over a whole universe of points at once: an integer
 whose bit i says whether it holds at point i (Knuth, TAOCP 4A, 7.1).
 Entailment's universe is every valuation of the atoms involved, guarded
 by a hard atom limit (default 16, a 65536-bit table); :mod:`iolog.worlds`
-uses the worlds of a model.  An engine call builds one set of tables over
-the joint atoms of its whole query, which is what the atom limit counts.
-All functions are pure and thread-safe.
+uses the worlds of a model; an engine call over few atoms shares one set of
+tables among its entailments.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -76,21 +75,35 @@ def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class _Tables:
-    """One engine call's truth tables over every valuation of the joint atoms of
-    ``formulas``.  Point i is the i-th valuation ``itertools.product`` yields over
-    the sorted names: the last name cycles fastest.  Each formula's mask is memoised
-    by identity, so ask only for formulas that outlive the tables."""
+_JOINT_ATOMS = 16  # most atoms an engine call shares tables over: 8 KiB per formula
 
-    def __init__(self, formulas: Iterable[Formula], atom_limit: int):
-        self.names = names = sorted(_atom_names(formulas))
-        if len(names) > atom_limit:
-            raise AtomLimitError(len(names), atom_limit)
-        self.full = full = (1 << (1 << len(names))) - 1
-        runs = [1 << k for k in reversed(range(len(names)))]  # points in a row that agree
-        # A name holds at bits r..2r-1 of every 2r: full // (2^r + 1) has bits 0..r-1.
-        self.env = {name: full // ((1 << r) + 1) << r for name, r in zip(names, runs)}
-        self._memo: dict[int, int] = {}
+
+def _valuation_masks(names: list[str], atom_limit: int) -> tuple[dict[str, int], int]:
+    """Atom masks over all valuations of the sorted ``names``, and the universe mask.
+    Point i is the i-th valuation ``itertools.product`` yields: the last name cycles fastest."""
+    if len(names) > atom_limit:
+        raise AtomLimitError(len(names), atom_limit)
+    env, size = {}, 1  # add the names last to first, each doubling the points by shifts
+    for name in reversed(names):
+        env = {other: m | m << size for other, m in env.items()}
+        env[name], size = ((1 << size) - 1) << size, 2 * size
+    return env, (1 << size) - 1
+
+
+class _Tables:
+    """Truth tables over every valuation of the atoms of ``formulas``, for the
+    entailments of one call.  Each formula's mask is computed once, memoised by
+    identity, so ask only about formulas that outlive the tables.  Unless ``whole``,
+    formulas with more atoms than ``_JOINT_ATOMS`` or the limit get no tables, and
+    each entailment is decided over its own atoms.  Either way an entailment raises
+    AtomLimitError only when its own atoms exceed the limit."""
+
+    def __init__(self, formulas: Iterable[Formula], atom_limit: int, whole: bool = False):
+        self.atom_limit, self.names = atom_limit, sorted(_atom_names(formulas))
+        self.shared = whole or len(self.names) <= min(atom_limit, _JOINT_ATOMS)
+        if self.shared:
+            self.env, self.full = _valuation_masks(self.names, atom_limit)
+            self._memo: dict[int, int] = {}
 
     def mask(self, f: Formula) -> int:
         if (m := self._memo.get(id(f))) is None:
@@ -103,6 +116,11 @@ class _Tables:
         for f in premises:
             witnesses = witnesses and witnesses & self.mask(f)
         return witnesses
+
+    def entails(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
+        if not self.shared:
+            return entails(premises, conclusion, atom_limit=self.atom_limit)
+        return not self.counterexamples(premises, conclusion)
 
 
 def eval_formula(f: Formula, valuation: Valuation) -> bool:
@@ -124,7 +142,7 @@ def counterexample_valuation(
     is deterministic.  Returns None when the entailment holds.
     """
     premises = tuple(premises)
-    tables = _Tables((*premises, conclusion), atom_limit)
+    tables = _Tables((*premises, conclusion), atom_limit, whole=True)
     witnesses = tables.counterexamples(premises, conclusion)
     if not witnesses:
         return None
@@ -140,7 +158,7 @@ def entails(
 ) -> bool:
     """Classical entailment: every valuation satisfying the premises satisfies the conclusion."""
     premises = tuple(premises)
-    return not _Tables((*premises, conclusion), atom_limit).counterexamples(premises, conclusion)
+    return _Tables((*premises, conclusion), atom_limit, whole=True).entails(premises, conclusion)
 
 
 def is_tautology(f: Formula, *, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:

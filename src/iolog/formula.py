@@ -238,34 +238,35 @@ class _Parser:
         self.open -= 1
         return result
 
-    def node(self, tok: _Token, cls, *parts: tuple[Formula, int]) -> tuple[Formula, int]:
-        depth = self.level(tok, 1 + max(d for _, d in parts))
+    def node(self, cls, *parts: tuple[Formula, int]) -> tuple[Formula, int]:
+        """The formula just read, its depth checked at its last token."""
+        depth = self.level(self.tokens[self.pos - 1], 1 + max(d for _, d in parts))
         return cls(*(f for f, _ in parts)), depth
 
     def implication(self) -> tuple[Formula, int]:
         left = self.disjunction()
-        if (tok := self.peek()).kind == "implies":
-            return self.node(tok, Implies, left, self.nested(self.implication))
+        if self.peek().kind == "implies":
+            return self.node(Implies, left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> tuple[Formula, int]:
         f = self.conjunction()
-        while (tok := self.peek()).kind == "or":
+        while self.peek().kind == "or":
             self.advance()
-            f = self.node(tok, Or, f, self.conjunction())
+            f = self.node(Or, f, self.conjunction())
         return f
 
     def conjunction(self) -> tuple[Formula, int]:
         f = self.unary()
-        while (tok := self.peek()).kind == "and":
+        while self.peek().kind == "and":
             self.advance()
-            f = self.node(tok, And, f, self.unary())
+            f = self.node(And, f, self.unary())
         return f
 
     def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind == "not":
-            return self.node(tok, Not, self.nested(self.unary))
+            return self.node(Not, self.nested(self.unary))
         if tok.kind == "true":
             self.advance()
             return TOP, 0
@@ -280,8 +281,7 @@ class _Parser:
             closing = self.peek()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError(closing.pos, f"expected ')', found {_describe(closing)}")
-            self.advance()
-            return f, self.level(tok, depth + 1)
+            return f, self.level(self.advance(), depth + 1)
         raise FormulaSyntaxError(
             tok.pos,
             f"expected a formula (atom, 'true', 'false', '!' or '('), found {_describe(tok)}",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula
@@ -58,17 +58,9 @@ def _query_formulas(norms: NormSet, input: Formula, goal: Formula) -> tuple[Form
     return (input, goal, *(f for n in norms for f in (n.body, n.head)))
 
 
-def _triggered(norms: NormSet, input: Formula, tables: _Tables) -> list[Norm]:
-    """The norms whose body the input entails, in norm-set order."""
-    input = tables.mask(input)
-    return [n for n in norms if not input & ~tables.mask(n.body)]
-
-
-def _triple_holds(heads: set[int], goal: int, full: int) -> bool:
-    """Three-witness test on masks: the goal holds everywhere, or no point satisfies
-    three of the heads (repetition allowed) and falsifies the goal."""
-    triples = itertools.combinations_with_replacement(heads, 3)
-    return goal == full or any(not h & i & j & ~goal for h, i, j in triples)
+def _triggered(norms: NormSet, input: Formula, tables: _Tables) -> Iterator[Norm]:
+    """The norms whose body the input entails, lazily in norm-set order."""
+    return (n for n in norms if tables.entails((input,), n.body))
 
 
 def triggered_heads(
@@ -105,9 +97,8 @@ def out1_member(
     output in every situation, nothing else is.
     """
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    triggered = _triggered(norms, input, tables)
-    holds = not tables.counterexamples((n.head for n in triggered), goal)
-    return Verdict(holds, "semantic", triggered=frozenset(n.head for n in triggered))
+    heads = frozenset(n.head for n in _triggered(norms, input, tables))
+    return Verdict(tables.entails(heads, goal), "semantic", triggered=heads)
 
 
 def out1_member_multi(
@@ -144,6 +135,7 @@ def out1_triple_approx(
     distinct heads are missed.
     """
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    triggered = _triggered(norms, input, tables)
-    holds = _triple_holds({tables.mask(n.head) for n in triggered}, tables.mask(goal), tables.full)
-    return Verdict(holds, "triple-approx", triggered=frozenset(n.head for n in triggered))
+    heads = frozenset(n.head for n in _triggered(norms, input, tables))
+    triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
+    holds = tables.entails((), goal) or any(tables.entails(t, goal) for t in triples)
+    return Verdict(holds, "triple-approx", triggered=heads)

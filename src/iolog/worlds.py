@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Literal, Mapping
 
-from .entail import DEFAULT_ATOM_LIMIT, _Tables, _truth_mask
+from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
 from .formula import BOTTOM, Formula, _atom_names
 from .norms import NormSet
-from .output import Verdict, _query_formulas, _triple_holds, triggered_heads
+from .output import Verdict, _query_formulas, triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -132,7 +132,9 @@ def _out1_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) 
         return True
     input = _truth_mask(input, env, full)
     covering = (n for n in norms if not input & ~_truth_mask(n.body, env, full))
-    return _triple_holds({_truth_mask(n.head, env, full) for n in covering}, goal, full)
+    heads = {_truth_mask(n.head, env, full) for n in covering}
+    triples = itertools.combinations_with_replacement(heads, 3)
+    return any(not h & i & j & ~goal for h, i, j in triples)
 
 
 def outpre_member_lifted(
@@ -157,6 +159,10 @@ def out1_member_lifted(
     return _out1_lifted(norms, input, goal, *_model_masks(model))
 
 
+def _query_atoms(query: LiftedQuery) -> list[str]:
+    return sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
+
+
 def find_countermodel(
     query: LiftedQuery,
     max_worlds: int,
@@ -174,7 +180,7 @@ def find_countermodel(
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
+    names = _query_atoms(query)
     member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
     for world_count in range(1, max_worlds + 1):
         if world_count * len(names) > budget:
@@ -225,9 +231,7 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    LiftedQuery(norms, input, goal, mode)  # rejects an unknown mode
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    env, full = tables.env, tables.full
+    env, full = _valuation_masks(_query_atoms(LiftedQuery(norms, input, goal, mode)), atom_limit)
     if mode == "outpre":  # at every valuation some norm fits
         return full in itertools.accumulate(_fits(norms, input, goal, env, full), or_)
     # At every valuation the goal holds, or some norm's body covers the input and its head fails.

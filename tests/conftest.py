@@ -143,24 +143,30 @@ def norm_sets(names=("a", "b", "c"), max_norms: int = 4):
 
 # --- deeply nested formula text -----------------------------------------
 
-NESTINGS = ("!", "&", "->", "(")
+NESTINGS = ("!", "&", "->", "(", "(&")
 
 
 def nested_text(kind: str, depth: int) -> str:
     """Formula text over atom ``a`` nested ``depth`` levels deep by one construct:
-    prefix negations, a conjunction or implication chain, or parentheses."""
+    prefix negations, a conjunction or implication chain, parentheses, or one
+    pair of parentheses around a conjunction chain."""
     if kind == "!":
         return "!" * depth + "a"
     if kind == "(":
         return "(" * depth + "a" + ")" * depth
+    if kind == "(&":
+        return "(" + nested_text("&", depth - 1) + ")"
     return f" {kind} ".join(["a"] * (depth + 1))
 
 
-# The inputs that once overflowed the parser's recursion, and the 1-based
-# position of the token that opens level 101.
+# The inputs that once overflowed the parser's recursion, plus one that is
+# too deep only at its closing parenthesis, and the 1-based position of the
+# error: the '!', '->' or '(' that opens level 101, or else the last token of
+# the first subformula 101 levels deep.
 TOO_DEEP = (
     pytest.param("!", 5000, 101, id="5000 nested !"),
-    pytest.param("&", 2999, 403, id="3000-term & chain"),
+    pytest.param("&", 2999, 405, id="3000-term & chain"),
     pytest.param("->", 2999, 503, id="3000-term -> chain"),
     pytest.param("(", 400, 101, id="400 nested parentheses"),
+    pytest.param("(&", 101, 403, id="101-term & chain in parentheses"),
 )

@@ -4,12 +4,12 @@ These are the evaluators iolog used before its engines moved onto one
 bit-mask truth-table kernel: a tree walker over world sets, the lifted
 membership tests and countermodel enumerator built on it, and the naive
 unfolding checked one valuation at a time.  The ``per_entailment_``
-engines decide membership the way iolog did before each engine call
-built one set of truth tables for its whole query: one separate
+engines decide membership the way iolog did before an engine call
+shared one set of truth tables among its entailments: one separate
 entailment per triggered body, per witness triple and per side
-condition.  They evaluate with the oracle in ``conftest.py`` and never
-call iolog's kernel, so the tests can compare the mask engines against
-them.
+condition, each one's own atoms held to the atom limit.  They evaluate
+with the oracle in ``conftest.py`` and never call iolog's kernel, so the
+tests can compare the mask engines against them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from functools import reduce
 from conftest import oracle_atoms, oracle_entails, oracle_eval, oracle_valuations
 from iolog import (
     AND,
+    DEFAULT_ATOM_LIMIT,
+    AtomLimitError,
     SO,
     WI,
     And,
@@ -145,40 +147,61 @@ def first_counterexample(premises, conclusion) -> dict[str, bool] | None:
     return None
 
 
-def per_entailment_triggered(norms, input) -> list:
-    return [n for n in norms if oracle_entails((input,), n.body)]
+def limited_entails(premises, conclusion, limit: int) -> bool:
+    """``oracle_entails``, raising ``AtomLimitError`` when the entailment's own
+    atoms exceed ``limit``."""
+    premises = tuple(premises)
+    names = oracle_atoms(conclusion)
+    for p in premises:
+        names |= oracle_atoms(p)
+    if len(names) > limit:
+        raise AtomLimitError(len(names), limit)
+    return oracle_entails(premises, conclusion)
 
 
-def per_entailment_triggered_heads(norms, input) -> frozenset:
-    return frozenset(n.head for n in per_entailment_triggered(norms, input))
+def per_entailment_triggered(norms, input, limit=DEFAULT_ATOM_LIMIT):
+    return (n for n in norms if limited_entails((input,), n.body, limit))
 
 
-def per_entailment_out1_member(norms, input, goal) -> Verdict:
-    heads = per_entailment_triggered_heads(norms, input)
-    return Verdict(oracle_entails(heads, goal), "semantic", triggered=heads)
+def per_entailment_triggered_heads(norms, input, limit=DEFAULT_ATOM_LIMIT) -> frozenset:
+    return frozenset(n.head for n in per_entailment_triggered(norms, input, limit))
 
 
-def per_entailment_out1_triple_approx(norms, input, goal) -> Verdict:
-    heads = per_entailment_triggered_heads(norms, input)
+def per_entailment_out1_member(norms, input, goal, limit=DEFAULT_ATOM_LIMIT) -> Verdict:
+    heads = per_entailment_triggered_heads(norms, input, limit)
+    return Verdict(limited_entails(heads, goal, limit), "semantic", triggered=heads)
+
+
+def per_entailment_out1_triple_approx(norms, input, goal, limit=DEFAULT_ATOM_LIMIT) -> Verdict:
+    heads = per_entailment_triggered_heads(norms, input, limit)
     triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
-    holds = oracle_entails((), goal) or any(oracle_entails(t, goal) for t in triples)
+    holds = limited_entails((), goal, limit) or any(
+        limited_entails(t, goal, limit) for t in triples
+    )
     return Verdict(holds, "triple-approx", triggered=heads)
 
 
-def per_entailment_construct_derivation(norms, input, goal):
-    """The canonical derivation, its final SO side condition checked on the combined head."""
-    if oracle_entails((), goal):
+def _canonical_derivation(triggered, input, goal, limit):
+    """The canonical derivation, its final SO side condition checked on the combined
+    head; ``triggered`` is not read when the goal is a tautology."""
+    if limited_entails((), goal, limit):
         return SO(WI(TopIntro(), input), goal)
-    leaves = [WI(AxiomLeaf(n), input) for n in per_entailment_triggered(norms, input)]
+    leaves = [WI(AxiomLeaf(n), input) for n in triggered]
     if not leaves:
         return None
     combined = reduce(AND, leaves)
-    if not oracle_entails((conclusion(combined).head,), goal):
+    if not limited_entails((conclusion(combined).head,), goal, limit):
         return None
     return SO(combined, goal)
 
 
-def per_entailment_derive_verdict(norms, input, goal) -> Verdict:
-    certificate = per_entailment_construct_derivation(norms, input, goal)
-    heads = per_entailment_triggered_heads(norms, input)
+def per_entailment_construct_derivation(norms, input, goal, limit=DEFAULT_ATOM_LIMIT):
+    triggered = per_entailment_triggered(norms, input, limit)
+    return _canonical_derivation(triggered, input, goal, limit)
+
+
+def per_entailment_derive_verdict(norms, input, goal, limit=DEFAULT_ATOM_LIMIT) -> Verdict:
+    triggered = list(per_entailment_triggered(norms, input, limit))
+    certificate = _canonical_derivation(triggered, input, goal, limit)
+    heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)

@@ -118,14 +118,17 @@ class TestAtomLimit:
         assert "IOLOG_ATOM_LIMIT" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["semantic", "derivation"])
-    def test_limit_counts_the_whole_query(self, tmp_path, engine, capsys):
-        """Each entailment has at most 16 atoms, the query 17."""
+    @pytest.mark.parametrize("last, rc", [(16, 1), (17, 2)])
+    def test_limit_counts_each_entailment(self, tmp_path, engine, last, rc, capsys):
+        """The query has 17 atoms or 18; only with 18 does one entailment have 17."""
         path = tmp_path / "wide.txt"
         path.write_text("(a, " + " & ".join(f"b{i}" for i in range(1, 9)) + ")\n")
-        goal = " | ".join(f"b{i}" for i in range(9, 17))
+        goal = " | ".join(f"b{i}" for i in range(9, last + 1))
         argv = ["check", "--norms", str(path), "--input", "a", "--goal", goal, "--engine", engine]
-        assert main(argv) == 2
-        assert "17 atoms" in capsys.readouterr().err
+        assert main(argv) == rc
+        out, err = capsys.readouterr()
+        assert ("holds: no" in out) == (rc == 1)
+        assert ("17 atoms" in err) == (rc == 2)
 
     def test_nonpositive_limit_rejected(self, norms_file, capsys):
         rc = main(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import formulas, norm_sets, oracle_eval
 from iolog import (
+    DEFAULT_ATOM_LIMIT,
     TOP,
     Atom,
     AtomLimitError,
@@ -13,6 +14,7 @@ from iolog import (
     Norm,
     NormSet,
     Or,
+    Verdict,
     WorldModel,
     atoms,
     construct_derivation,
@@ -35,6 +37,7 @@ from iolog import (
 )
 from pointwise import (
     first_counterexample,
+    per_entailment_construct_derivation,
     per_entailment_derive_verdict,
     per_entailment_out1_member,
     per_entailment_out1_triple_approx,
@@ -129,31 +132,79 @@ class TestFindCountermodel:
 # share one atom, the head and the goal have 16), but the query has 17.
 LIMIT_NORMS = parse_norms("(a, " + " & ".join(f"b{i}" for i in range(1, 9)) + ")")
 LIMIT_GOAL = parse_formula(" | ".join(f"b{i}" for i in range(9, 17)))
+# Twenty norms over separate pairs of atoms, forty atoms in all.
+SPARSE_NORMS = parse_norms("".join(f"(p{i}, q{i})\n" for i in range(20)))
+SPARSE_INPUT = parse_formula("p0 & p2 & p4")
+
+ENGINES = (
+    (out1_member, per_entailment_out1_member),
+    (out1_triple_approx, per_entailment_out1_triple_approx),
+    (derive_verdict, per_entailment_derive_verdict),
+    (construct_derivation, per_entailment_construct_derivation),
+)
+
+
+def outcome(engine, *args, **kwargs):
+    """What a call returns, or the count and limit of the AtomLimitError it raises."""
+    try:
+        return engine(*args, **kwargs)
+    except AtomLimitError as err:
+        return "AtomLimitError", err.count, err.limit
 
 
 class TestQueryTables:
-    @settings(max_examples=200)
-    @given(norm_sets(), formulas(max_leaves=4), formulas(max_leaves=4))
-    def test_engines_match_the_per_entailment_references(self, norms, input, goal):
-        assert triggered_heads(norms, input) == per_entailment_triggered_heads(norms, input)
-        assert out1_member(norms, input, goal) == per_entailment_out1_member(norms, input, goal)
-        assert out1_triple_approx(norms, input, goal) == per_entailment_out1_triple_approx(
-            norms, input, goal
+    @settings(max_examples=300)
+    @given(norm_sets(), formulas(max_leaves=4), formulas(max_leaves=4), st.integers(0, 4))
+    def test_engines_match_the_per_entailment_references(self, norms, input, goal, limit):
+        """Limits below the query's 3 atoms make some entailments fail and others not."""
+        assert outcome(triggered_heads, norms, input, atom_limit=limit) == outcome(
+            per_entailment_triggered_heads, norms, input, limit
         )
-        verdict = derive_verdict(norms, input, goal)
-        assert verdict == per_entailment_derive_verdict(norms, input, goal)
-        assert construct_derivation(norms, input, goal) == verdict.certificate
-        if verdict.certificate is not None:
+        for engine, reference in ENGINES:
+            assert outcome(engine, norms, input, goal, atom_limit=limit) == outcome(
+                reference, norms, input, goal, limit
+            )
+        verdict = outcome(derive_verdict, norms, input, goal, atom_limit=limit)
+        if isinstance(verdict, Verdict) and verdict.certificate is not None:
             assert verify_derivation(norms, verdict.certificate, Norm(input, goal)) is None
 
-    def test_atom_limit_counts_the_whole_query(self):
+    def test_atom_limit_counts_each_entailment(self):
         (norm,) = LIMIT_NORMS
         input = Atom("a")
         assert len(atoms(input) | atoms(norm.body)) == 1
         assert len(atoms(norm.head) | atoms(LIMIT_GOAL)) == 16
-        assert not entails((norm.head,), LIMIT_GOAL)  # each entailment alone is allowed
-        assert triggered_heads(LIMIT_NORMS, input) == {norm.head}  # input and bodies only
-        for engine in (out1_member, derive_verdict):
+        for engine, reference in ENGINES:
+            assert engine(LIMIT_NORMS, input, LIMIT_GOAL) == reference(LIMIT_NORMS, input, LIMIT_GOAL)
+        assert not out1_member(LIMIT_NORMS, input, LIMIT_GOAL).holds
+        wider = Or(LIMIT_GOAL, Atom("b17"))  # head and goal now have 17 atoms
+        for engine, _ in ENGINES:
             with pytest.raises(AtomLimitError) as err:
-                engine(LIMIT_NORMS, input, LIMIT_GOAL)
+                engine(LIMIT_NORMS, input, wider)
             assert (err.value.count, err.value.limit) == (17, 16)
+
+    def test_tautological_goal_is_decided_before_wide_heads(self):
+        """The head and the goal have 3 atoms together, more than the limit of 2."""
+        norms, input, goal = parse_norms("(a, b & c)"), Atom("a"), parse_formula("a | !a")
+        for engine, reference in ENGINES:
+            assert outcome(engine, norms, input, goal, atom_limit=2) == outcome(
+                reference, norms, input, goal, 2
+            )
+        assert out1_triple_approx(norms, input, goal, atom_limit=2).holds
+        assert derive_verdict(norms, input, goal, atom_limit=2).holds
+        with pytest.raises(AtomLimitError) as err:
+            out1_member(norms, input, goal, atom_limit=2)
+        assert err.value.count == 3
+
+    @pytest.mark.parametrize("limit", [2, DEFAULT_ATOM_LIMIT, 40, 64])
+    def test_sparse_query_is_decided_entailment_by_entailment(self, limit):
+        """Forty atoms in all, at most four in any one entailment."""
+        goal = parse_formula("q0 & q4")
+        assert outcome(triggered_heads, SPARSE_NORMS, SPARSE_INPUT, atom_limit=limit) == (
+            outcome(per_entailment_triggered_heads, SPARSE_NORMS, SPARSE_INPUT, limit)
+        )
+        for engine, reference in ENGINES:
+            assert outcome(engine, SPARSE_NORMS, SPARSE_INPUT, goal, atom_limit=limit) == outcome(
+                reference, SPARSE_NORMS, SPARSE_INPUT, goal, limit
+            )
+        if limit >= DEFAULT_ATOM_LIMIT:
+            assert out1_member(SPARSE_NORMS, SPARSE_INPUT, goal, atom_limit=limit).holds
