@@ -86,6 +86,40 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _check_report(
+    form: str, norms: NormSet, input: Formula, goal: Formula, verdict: Verdict
+) -> str:
+    """The whole report of a ``check`` run, built before any of it is printed."""
+    triggered = _triggered_list(norms, verdict)
+    derivation = verdict.certificate if verdict.engine == "derivation" else None
+    model = verdict.certificate if isinstance(verdict.certificate, WorldModel) else None
+    if form == "structured":
+        doc = {
+            "query": _query_doc(norms, input, goal, "out1"),
+            "engine": verdict.engine,
+            "holds": verdict.holds,
+            "triggered": triggered,
+        }
+        if derivation is not None:
+            doc["certificate"] = derivation_to_dict(derivation)
+        if model is not None:
+            doc["countermodel"] = world_model_to_dict(model)
+        return json.dumps(doc, indent=2)
+    lines = [
+        f"norms: {', '.join(render_norm(n) for n in norms) or '(none)'}",
+        f"input: {print_formula(input)}",
+        f"goal: {print_formula(goal)}",
+        f"engine: {verdict.engine}",
+        f"triggered: {', '.join(triggered) or '(none)'}",
+        f"holds: {'yes' if verdict.holds else 'no'}",
+    ]
+    if derivation is not None:
+        lines += ["certificate:", render_derivation(derivation)]
+    if model is not None:
+        lines += ["countermodel:", render_world_model(model)]
+    return "\n".join(lines)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     atom_limit = _atom_limit(args)
     norms = load_norms(args.norms)
@@ -103,32 +137,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             norms, input, goal, max_worlds=_max_worlds(args), atom_limit=atom_limit
         )
 
-    triggered = _triggered_list(norms, verdict)
-    if args.format == "structured":
-        doc = {
-            "query": _query_doc(norms, input, goal, "out1"),
-            "engine": verdict.engine,
-            "holds": verdict.holds,
-            "triggered": triggered,
-        }
-        if verdict.engine == "derivation" and verdict.certificate is not None:
-            doc["certificate"] = derivation_to_dict(verdict.certificate)
-        if verdict.engine == "lifted" and isinstance(verdict.certificate, WorldModel):
-            doc["countermodel"] = world_model_to_dict(verdict.certificate)
-        _emit(doc)
-    else:
-        print(f"norms: {', '.join(render_norm(n) for n in norms) or '(none)'}")
-        print(f"input: {print_formula(input)}")
-        print(f"goal: {print_formula(goal)}")
-        print(f"engine: {verdict.engine}")
-        print(f"triggered: {', '.join(triggered) or '(none)'}")
-        print(f"holds: {'yes' if verdict.holds else 'no'}")
-        if verdict.engine == "derivation" and verdict.certificate is not None:
-            print("certificate:")
-            print(render_derivation(verdict.certificate))
-        if verdict.engine == "lifted" and isinstance(verdict.certificate, WorldModel):
-            print("countermodel:")
-            print(render_world_model(verdict.certificate))
+    try:  # a certificate of a few hundred triggered norms overflows the recursive printers
+        report = _check_report(args.format, norms, input, goal, verdict)
+    except RecursionError:
+        raise CliError("the certificate is nested too deeply to render") from None
+    print(report)
     return 0 if verdict.holds else 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _atom_names
+from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _as_node, _atom_names
 
 __all__ = [
     "DEFAULT_ATOM_LIMIT",
@@ -51,28 +51,28 @@ class AtomLimitError(ValueError):
 def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:
     """Mask of the points where ``f`` holds, given each atom's mask; bit i of ``full``
     is point i.  The right operand is skipped where the left one decides everywhere."""
-    match f:
-        case Atom(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundAtomError(name) from None
-        case Top():
-            return full
-        case Bottom():
-            return 0
-        case Not(g):
-            return full ^ _truth_mask(g, env, full)
-        case And(l, r):
-            left = _truth_mask(l, env, full)
-            return left and left & _truth_mask(r, env, full)
-        case Or(l, r):
-            left = _truth_mask(l, env, full)
-            return full if left == full else left | _truth_mask(r, env, full)
-        case Implies(l, r):
-            left = _truth_mask(l, env, full)
-            return full if not left else full ^ left | _truth_mask(r, env, full)
-    raise TypeError(f"not a formula: {f!r}")
+    t = type(f)  # exact-type tests: several times faster than ``match`` class patterns
+    if t is Atom:
+        try:
+            return env[f.name]
+        except KeyError:
+            raise UnboundAtomError(f.name) from None
+    if t is And:
+        left = _truth_mask(f.left, env, full)
+        return left and left & _truth_mask(f.right, env, full)
+    if t is Or:
+        left = _truth_mask(f.left, env, full)
+        return full if left == full else left | _truth_mask(f.right, env, full)
+    if t is Not:
+        return full ^ _truth_mask(f.operand, env, full)
+    if t is Implies:
+        left = _truth_mask(f.left, env, full)
+        return full if not left else full ^ left | _truth_mask(f.right, env, full)
+    if t is Top:
+        return full
+    if t is Bottom:
+        return 0
+    return _truth_mask(_as_node(f), env, full)
 
 
 _JOINT_ATOMS = 16  # most atoms an engine call shares tables over: 8 KiB per formula

@@ -16,7 +16,7 @@ normalisation or simplification is ever applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -50,7 +50,7 @@ class FormulaSyntaxError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     """Base class of all formula nodes."""
 
@@ -58,7 +58,7 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
 
@@ -67,34 +67,34 @@ class Atom(Formula):
             raise ValueError(f"invalid atom name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -114,16 +114,32 @@ def _atom_names(formulas: Iterable[Formula]) -> set[str]:
     names: set[str] = set()
     stack = list(formulas)
     while stack:
-        f = stack.pop()  # isinstance tests: several times faster than ``match`` here
-        if isinstance(f, Atom):
+        f = stack.pop()
+        t = type(f)  # exact-type tests: about twice as fast as isinstance here
+        if t is Atom:
             names.add(f.name)
-        elif isinstance(f, Not):
-            stack.append(f.operand)
-        elif isinstance(f, (And, Or, Implies)):
+        elif t is And or t is Or or t is Implies:
             stack += (f.left, f.right)
-        elif not isinstance(f, (Top, Bottom)):
-            raise TypeError(f"not a formula: {f!r}")
+        elif t is Not:
+            stack.append(f.operand)
+        elif t is not Top and t is not Bottom:
+            stack.append(_as_node(f))
     return names
+
+
+_NODES = (Atom, Top, Bottom, Not, And, Or, Implies)
+
+
+def _as_node(f: Formula) -> Formula:
+    """``f``, an instance of a subclass of a node class, copied into the first class
+    of ``_NODES`` it derives from, so that the exact-type walks treat it as one."""
+    for cls in _NODES:
+        if isinstance(f, cls):
+            node = object.__new__(cls)
+            for field in fields(cls):
+                object.__setattr__(node, field.name, getattr(f, field.name))
+            return node
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # Precedence levels used by the printer; parentheses are emitted only

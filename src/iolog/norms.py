@@ -33,7 +33,7 @@ class NormSyntaxError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Norm:
     """A conditional norm: when ``body`` holds, ``head`` is obligatory."""
 
@@ -41,7 +41,7 @@ class Norm:
     head: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormSet:
     """A finite, ordered collection of norms; iteration follows source order."""
 

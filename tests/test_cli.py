@@ -152,6 +152,18 @@ class TestNestingLimit:
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
         assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["text", "structured"])
+    def test_certificate_too_deep_to_render_exits_two(self, tmp_path, form, capsys):
+        """600 triggered norms conjoin into a certificate 600 levels deep."""
+        path = tmp_path / "many.txt"
+        path.write_text("(a, e)\n" * 600)
+        argv = ["check", "--norms", str(path), "--input", "a", "--goal", "e",
+                "--engine", "derivation", "--format", form]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the certificate is nested too deeply to render\n"
+
     @pytest.mark.parametrize("kind", NESTINGS)
     def test_formula_at_the_limit_renders_structured_output(self, tmp_path, kind, capsys):
         text = nested_text(kind, MAX_DEPTH)
