@@ -4,8 +4,10 @@ unfolding, and the built-in regression matrix.
 Exit codes are uniform across subcommands: 0 for a positive answer
 (membership holds / countermodel found / unfolding valid / matrix
 matches), 1 for the negative answer, 2 for configuration or input
-errors.  With ``--format structured`` each run prints a single JSON
-document; identical inputs produce byte-identical output.
+errors.  Each subcommand builds one report, a JSON document: ``--format
+structured`` prints it as is and ``--format text`` renders it as lines,
+so both carry the same content.  Identical inputs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,29 +16,24 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import reference
-from .derivation import derive_verdict, render_derivation, derivation_to_dict
+from .derivation import _derivation_lines, derivation_to_dict, derive_verdict
 from .entail import DEFAULT_ATOM_LIMIT, AtomLimitError, UnboundAtomError
 from .formula import Formula, FormulaSyntaxError, parse_formula, print_formula
 from .norms import NormSet, NormSyntaxError, load_norms, render_norm
-from .output import (
-    Verdict,
-    out1_member,
-    out1_triple_approx,
-    source_ordered_heads,
-    triggered_heads,
-)
+from .output import out1_member, out1_triple_approx, source_ordered_heads, triggered_heads
 from .worlds import (
     DEFAULT_SEARCH_BUDGET,
     LiftedQuery,
     SearchBudgetError,
     WorldModel,
+    _world_model_lines,
     find_countermodel,
     lifted_verdict,
     naive_unfold_valid,
-    render_world_model,
     world_model_to_dict,
 )
 
@@ -69,6 +66,10 @@ def _max_worlds(args: argparse.Namespace) -> int:
     return args.max_worlds
 
 
+def _query(args: argparse.Namespace) -> tuple[NormSet, Formula, Formula]:
+    return load_norms(args.norms), parse_formula(args.input), parse_formula(args.goal)
+
+
 def _query_doc(norms: NormSet, input: Formula, goal: Formula, operation: str) -> dict:
     return {
         "norms": [render_norm(n) for n in norms],
@@ -78,78 +79,50 @@ def _query_doc(norms: NormSet, input: Formula, goal: Formula, operation: str) ->
     }
 
 
-def _triggered_list(norms: NormSet, verdict: Verdict) -> list[str]:
-    return [print_formula(h) for h in source_ordered_heads(norms, verdict.triggered)]
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
-def _check_report(
-    form: str, norms: NormSet, input: Formula, goal: Formula, verdict: Verdict
-) -> str:
-    """The whole report of a ``check`` run, built before any of it is printed."""
-    triggered = _triggered_list(norms, verdict)
-    derivation = verdict.certificate if verdict.engine == "derivation" else None
-    model = verdict.certificate if isinstance(verdict.certificate, WorldModel) else None
-    if form == "structured":
-        doc = {
-            "query": _query_doc(norms, input, goal, "out1"),
-            "engine": verdict.engine,
-            "holds": verdict.holds,
-            "triggered": triggered,
-        }
-        if derivation is not None:
-            doc["certificate"] = derivation_to_dict(derivation)
-        if model is not None:
-            doc["countermodel"] = world_model_to_dict(model)
-        return json.dumps(doc, indent=2)
-    lines = [
-        f"norms: {', '.join(render_norm(n) for n in norms) or '(none)'}",
-        f"input: {print_formula(input)}",
-        f"goal: {print_formula(goal)}",
-        f"engine: {verdict.engine}",
-        f"triggered: {', '.join(triggered) or '(none)'}",
-        f"holds: {'yes' if verdict.holds else 'no'}",
-    ]
-    if derivation is not None:
-        lines += ["certificate:", render_derivation(derivation)]
-    if model is not None:
-        lines += ["countermodel:", render_world_model(model)]
-    return "\n".join(lines)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
-    norms = load_norms(args.norms)
-    input = parse_formula(args.input)
-    goal = parse_formula(args.goal)
+    norms, input, goal = _query(args)
 
-    if args.engine == "semantic":
-        verdict = out1_member(norms, input, goal, atom_limit=atom_limit)
-    elif args.engine == "triple":
-        verdict = out1_triple_approx(norms, input, goal, atom_limit=atom_limit)
-    elif args.engine == "derivation":
-        verdict = derive_verdict(norms, input, goal, atom_limit=atom_limit)
+    if args.engine == "lifted":
+        max_worlds = _max_worlds(args)
+        verdict = lifted_verdict(norms, input, goal, max_worlds=max_worlds, atom_limit=atom_limit)
     else:
-        verdict = lifted_verdict(
-            norms, input, goal, max_worlds=_max_worlds(args), atom_limit=atom_limit
-        )
+        engines = dict(semantic=out1_member, triple=out1_triple_approx, derivation=derive_verdict)
+        verdict = engines[args.engine](norms, input, goal, atom_limit=atom_limit)
 
-    try:  # a certificate of a few hundred triggered norms overflows the recursive printers
-        report = _check_report(args.format, norms, input, goal, verdict)
-    except RecursionError:
-        raise CliError("the certificate is nested too deeply to render") from None
-    print(report)
-    return 0 if verdict.holds else 1
+    report = {
+        "query": _query_doc(norms, input, goal, "out1"),
+        "engine": verdict.engine,
+        "holds": verdict.holds,
+        "triggered": [print_formula(h) for h in source_ordered_heads(norms, verdict.triggered)],
+    }
+    if verdict.engine == "derivation" and verdict.certificate is not None:
+        report["certificate"] = derivation_to_dict(verdict.certificate)
+    if isinstance(verdict.certificate, WorldModel):
+        report["countermodel"] = world_model_to_dict(verdict.certificate)
+    return report, 0 if verdict.holds else 1
 
 
-def _cmd_countermodel(args: argparse.Namespace) -> int:
+def _check_text(report: dict) -> list[str]:
+    query = report["query"]
+    lines = [
+        f"norms: {', '.join(query['norms']) or '(none)'}",
+        f"input: {query['input']}",
+        f"goal: {query['goal']}",
+        f"engine: {report['engine']}",
+        f"triggered: {', '.join(report['triggered']) or '(none)'}",
+        f"holds: {'yes' if report['holds'] else 'no'}",
+    ]
+    if "certificate" in report:
+        lines += ["certificate:", *_derivation_lines(report["certificate"])]
+    if "countermodel" in report:
+        lines += ["countermodel:", *_world_model_lines(report["countermodel"])]
+    return lines
+
+
+def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     _atom_limit(args)  # validated for parity; the lifted search needs no limit
-    norms = load_norms(args.norms)
-    input = parse_formula(args.input)
-    goal = parse_formula(args.goal)
+    norms, input, goal = _query(args)
     max_worlds = _max_worlds(args)
     if args.budget < 1:
         raise CliError("--budget must be positive")
@@ -157,90 +130,70 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
     query = LiftedQuery(norms, input, goal, args.mode)
     model = find_countermodel(query, max_worlds, budget=args.budget)
 
-    if args.format == "structured":
-        doc = {
-            "query": _query_doc(norms, input, goal, args.mode),
-            "engine": "lifted",
-            "holds": model is None,
-            "max_worlds": max_worlds,
-        }
-        if model is not None:
-            doc["countermodel"] = world_model_to_dict(model)
-        _emit(doc)
-    else:
-        if model is None:
-            print(f"no countermodel up to {max_worlds} worlds")
-        else:
-            print(f"countermodel found at {model.world_count} worlds:")
-            print(render_world_model(model))
-    return 1 if model is None else 0
+    report = {
+        "query": _query_doc(norms, input, goal, args.mode),
+        "engine": "lifted",
+        "holds": model is None,
+        "max_worlds": max_worlds,
+    }
+    if model is not None:
+        report["countermodel"] = world_model_to_dict(model)
+    return report, 1 if model is None else 0
 
 
-def _cmd_naive(args: argparse.Namespace) -> int:
+def _countermodel_text(report: dict) -> list[str]:
+    if "countermodel" not in report:
+        return [f"no countermodel up to {report['max_worlds']} worlds"]
+    model = report["countermodel"]
+    return [f"countermodel found at {model['world_count']} worlds:", *_world_model_lines(model)]
+
+
+def _cmd_naive(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
-    norms = load_norms(args.norms)
-    input = parse_formula(args.input)
-    goal = parse_formula(args.goal)
+    norms, input, goal = _query(args)
 
     naive = naive_unfold_valid(norms, input, goal, args.mode, atom_limit=atom_limit)
     if args.mode == "out1":
         semantic = out1_member(norms, input, goal, atom_limit=atom_limit).holds
     else:
         semantic = goal in triggered_heads(norms, input, atom_limit=atom_limit)
-    disagree = naive != semantic
 
-    if args.format == "structured":
-        _emit(
-            {
-                "query": _query_doc(norms, input, goal, args.mode),
-                "engine": "naive",
-                "holds": naive,
-                "contrast": {"semantic_holds": semantic, "disagreement": disagree},
-            }
-        )
-    else:
-        print(f"naive unfolding: {'valid' if naive else 'not valid'}")
-        print(f"semantic engine: {'holds' if semantic else 'does not hold'}")
-        if disagree:
-            print("UNSOUND ENCODING WITNESS: the naive unfolding disagrees with the semantics")
-        else:
-            print("verdicts agree")
-    return 0 if naive else 1
+    report = {
+        "query": _query_doc(norms, input, goal, args.mode),
+        "engine": "naive",
+        "holds": naive,
+        "contrast": {"semantic_holds": semantic, "disagreement": naive != semantic},
+    }
+    return report, 0 if naive else 1
 
 
-def _cmd_examples(args: argparse.Namespace) -> int:
+def _naive_text(report: dict) -> list[str]:
+    contrast = report["contrast"]
+    return [
+        f"naive unfolding: {'valid' if report['holds'] else 'not valid'}",
+        f"semantic engine: {'holds' if contrast['semantic_holds'] else 'does not hold'}",
+        "UNSOUND ENCODING WITNESS: the naive unfolding disagrees with the semantics"
+        if contrast["disagreement"]
+        else "verdicts agree",
+    ]
+
+
+def _cmd_examples(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
     rows = reference.run_reference_matrix(max_worlds=_max_worlds(args), atom_limit=atom_limit)
-    mismatches = [row for row in rows if not row.ok]
+    mismatches = sum(not row.ok for row in rows)
+    report = {"rows": [{**asdict(row), "ok": row.ok} for row in rows], "mismatches": mismatches}
+    return report, 1 if mismatches else 0
 
-    if args.format == "structured":
-        _emit(
-            {
-                "rows": [
-                    {
-                        "example": row.example,
-                        "engine": row.engine,
-                        "expected": row.expected,
-                        "actual": row.actual,
-                        "ok": row.ok,
-                    }
-                    for row in rows
-                ],
-                "mismatches": len(mismatches),
-            }
-        )
-    else:
-        for row in rows:
-            status = "ok" if row.ok else "MISMATCH"
-            print(
-                f"{row.example:24} engine={row.engine:10} "
-                f"expected={str(row.expected):5} actual={str(row.actual):5} {status}"
-            )
-        if mismatches:
-            print(f"{len(mismatches)} mismatch(es)")
-        else:
-            print("all outcomes match")
-    return 1 if mismatches else 0
+
+def _examples_text(report: dict) -> list[str]:
+    lines = [
+        f"{row['example']:24} engine={row['engine']:10} expected={str(row['expected']):5} "
+        f"actual={str(row['actual']):5} {'ok' if row['ok'] else 'MISMATCH'}"
+        for row in report["rows"]
+    ]
+    mismatches = report["mismatches"]
+    return lines + [f"{mismatches} mismatch(es)" if mismatches else "all outcomes match"]
 
 
 def _add_common(parser: argparse.ArgumentParser, *, with_query: bool = True) -> None:
@@ -283,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--max-worlds", type=int, default=4, metavar="N", help="search bound for engine=lifted"
     )
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(func=_cmd_check, text=_check_text)
 
     counter = sub.add_parser("countermodel", help="search for a finite countermodel")
     _add_common(counter)
@@ -296,19 +249,19 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="guard on worlds x atoms before a size is enumerated",
     )
-    counter.set_defaults(func=_cmd_countermodel)
+    counter.set_defaults(func=_cmd_countermodel, text=_countermodel_text)
 
     naive = sub.add_parser(
         "naive", help="classical validity of the naive Boolean unfolding, with contrast"
     )
     _add_common(naive)
     naive.add_argument("--mode", choices=("outpre", "out1"), default="out1")
-    naive.set_defaults(func=_cmd_naive)
+    naive.set_defaults(func=_cmd_naive, text=_naive_text)
 
     examples = sub.add_parser("examples", help="run the built-in regression matrix")
     _add_common(examples, with_query=False)
     examples.add_argument("--max-worlds", type=int, default=4, metavar="N")
-    examples.set_defaults(func=_cmd_examples)
+    examples.set_defaults(func=_cmd_examples, text=_examples_text)
 
     return parser
 
@@ -316,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        structured = args.format == "structured"
+        out = json.dumps(report, indent=2) if structured else "\n".join(args.text(report))
     except (
         CliError,
         FormulaSyntaxError,
@@ -329,6 +284,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # a certificate of a few hundred triggered norms overflows print_formula
+        print("error: the certificate is nested too deeply to render", file=sys.stderr)
+        return 2
+    print(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -82,21 +82,55 @@ class AND(Derivation):
     right: Derivation
 
 
-def conclusion(d: Derivation) -> Norm:
-    """The pair a well-formed tree concludes, computed structurally."""
+def _rule(d: Derivation) -> tuple[str, tuple[tuple[str, Derivation], ...], Formula | None]:
+    """A node's rule tag, its premises with the attribute holding each (left before
+    right), and its SO or WI parameter."""
     match d:
         case TopIntro():
-            return Norm(TOP, TOP)
-        case AxiomLeaf(norm):
-            return norm
+            return "TOP", (), None
+        case AxiomLeaf():
+            return "AX", (), None
         case SO(premise, output):
-            return Norm(conclusion(premise).body, output)
+            return "SO", (("premise", premise),), output
         case WI(premise, input):
-            return Norm(input, conclusion(premise).head)
+            return "WI", (("premise", premise),), input
         case AND(left, right):
-            l, r = conclusion(left), conclusion(right)
-            return Norm(l.body, And(l.head, r.head))
+            return "AND", (("left", left), ("right", right)), None
     raise TypeError(f"not a derivation: {d!r}")
+
+
+def _walk(d: Derivation) -> tuple[list[tuple[Derivation, int, str]], dict[int, Norm]]:
+    """Every node of ``d`` in pre-order (a node before its premises, left before right),
+    each with its parent's position in the list and the attribute that holds it there;
+    and every node's conclusion keyed by ``id``, computed once from its premises'."""
+    order: list[tuple[Derivation, int, str]] = []
+    stack = [(d, -1, "")]
+    while stack:
+        entry = stack.pop()
+        parent = len(order)
+        order.append(entry)
+        for step, child in reversed(_rule(entry[0])[1]):
+            stack.append((child, parent, step))
+    concluded: dict[int, Norm] = {}
+    for node, _, _ in reversed(order):  # rules tested commonest first
+        if isinstance(node, WI):
+            pair = Norm(node.input, concluded[id(node.premise)].head)
+        elif isinstance(node, AxiomLeaf):
+            pair = node.norm
+        elif isinstance(node, AND):
+            l, r = concluded[id(node.left)], concluded[id(node.right)]
+            pair = Norm(l.body, And(l.head, r.head))
+        elif isinstance(node, SO):
+            pair = Norm(concluded[id(node.premise)].body, node.output)
+        else:  # TopIntro, the one rule left: ``_rule`` rejects every other node
+            pair = Norm(TOP, TOP)
+        concluded[id(node)] = pair
+    return order, concluded
+
+
+def conclusion(d: Derivation) -> Norm:
+    """The pair a well-formed tree concludes, computed structurally."""
+    return _walk(d)[1][id(d)]
 
 
 @dataclass(frozen=True)
@@ -124,57 +158,63 @@ def verify_derivation(
     right) and the first violation is reported; the conclusion/goal match
     is checked last.
     """
-    failure = _verify_node(norms, d, (), atom_limit)
-    if failure is not None:
-        return failure
-    concluded = conclusion(d)
-    if concluded != goal:
-        return CheckFailure(
-            (), f"conclusion {render_norm(concluded)} does not match goal {render_norm(goal)}"
-        )
+    order, concluded = _walk(d)
+    for position, (node, _, _) in enumerate(order):
+        reason = _violation(norms, node, concluded, atom_limit)
+        if reason is not None:
+            path = []
+            while position > 0:
+                _, position, step = order[position]
+                path.append(step)
+            return CheckFailure(tuple(reversed(path)), reason)
+    if (pair := concluded[id(d)]) != goal:
+        reason = f"conclusion {render_norm(pair)} does not match goal {render_norm(goal)}"
+        return CheckFailure((), reason)
     return None
 
 
-def _verify_node(
-    norms: NormSet, d: Derivation, path: tuple[str, ...], atom_limit: int
-) -> CheckFailure | None:
+def _violation(
+    norms: NormSet, d: Derivation, concluded: dict[int, Norm], atom_limit: int
+) -> str | None:
+    """The side condition ``d`` violates, given its premises' conclusions, or None."""
     match d:
-        case TopIntro():
-            return None
-        case AxiomLeaf(norm):
-            if norm not in norms.norms:
-                return CheckFailure(path, f"axiom {render_norm(norm)} is not in the norm set")
-            return None
+        case AxiomLeaf(norm) if norm not in norms.norms:
+            return f"axiom {render_norm(norm)} is not in the norm set"
         case SO(premise, output):
-            premise_head = conclusion(premise).head
-            if not entails((premise_head,), output, atom_limit=atom_limit):
-                return CheckFailure(
-                    path,
-                    f"SO side condition fails: {print_formula(premise_head)} does not entail "
-                    f"{print_formula(output)}",
+            head = concluded[id(premise)].head
+            # The conjuncts as premises: the same test, and no recursion per conjoined norm.
+            if not entails(_conjuncts(head), output, atom_limit=atom_limit):
+                return (
+                    f"SO side condition fails: {print_formula(head)} does not entail "
+                    f"{print_formula(output)}"
                 )
-            return _verify_node(norms, premise, path + ("premise",), atom_limit)
         case WI(premise, input):
-            premise_body = conclusion(premise).body
-            if not entails((input,), premise_body, atom_limit=atom_limit):
-                return CheckFailure(
-                    path,
+            body = concluded[id(premise)].body
+            if not entails((input,), body, atom_limit=atom_limit):
+                return (
                     f"WI side condition fails: {print_formula(input)} does not entail "
-                    f"{print_formula(premise_body)}",
+                    f"{print_formula(body)}"
                 )
-            return _verify_node(norms, premise, path + ("premise",), atom_limit)
         case AND(left, right):
-            lbody, rbody = conclusion(left).body, conclusion(right).body
+            lbody, rbody = concluded[id(left)].body, concluded[id(right)].body
             if lbody != rbody:
-                return CheckFailure(
-                    path,
+                return (
                     f"AND premises conclude different bodies: {print_formula(lbody)} vs "
-                    f"{print_formula(rbody)}",
+                    f"{print_formula(rbody)}"
                 )
-            return _verify_node(norms, left, path + ("left",), atom_limit) or _verify_node(
-                norms, right, path + ("right",), atom_limit
-            )
-    raise TypeError(f"not a derivation: {d!r}")
+    return None
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of ``f``: its subformulas below its top run of conjunctions."""
+    found, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            found.append(g)
+    return found
 
 
 def check_derivation(
@@ -235,48 +275,41 @@ def derive_verdict(
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 
 
-_RULE_TAGS = {TopIntro: "TOP", AxiomLeaf: "AX", SO: "SO", WI: "WI", AND: "AND"}
-
-
-def _children(d: Derivation) -> tuple[Derivation, ...]:
-    match d:
-        case SO(premise, _) | WI(premise, _):
-            return (premise,)
-        case AND(left, right):
-            return (left, right)
-        case _:
-            return ()
-
-
 def render_derivation(d: Derivation) -> str:
     """Deterministic indented text: one node per line, rule tag plus concluded pair."""
-    lines: list[str] = []
+    return "\n".join(_derivation_lines(derivation_to_dict(d)))
 
-    def walk(node: Derivation, depth: int) -> None:
-        pair = conclusion(node)
-        lines.append("  " * depth + f"{_RULE_TAGS[type(node)]} ⊢ {render_norm(pair)}")
-        for child in _children(node):
-            walk(child, depth + 1)
 
-    walk(d, 0)
-    return "\n".join(lines)
+def _derivation_lines(record: dict) -> list[str]:
+    """The text lines of a structured derivation record."""
+    lines, stack = [], [(record, 0)]
+    while stack:
+        r, depth = stack.pop()
+        pair = f"({r['conclusion_body']}, {r['conclusion_head']})"
+        lines.append("  " * depth + f"{r['rule']} ⊢ {pair}")
+        stack += [(child, depth + 1) for child in reversed(r["children"])]
+    return lines
 
 
 def derivation_to_dict(d: Derivation) -> dict:
     """Structured rendering: nested records with rule, concluded pair, and children."""
-    pair = conclusion(d)
-    record: dict = {
-        "rule": _RULE_TAGS[type(d)],
-        "conclusion_body": print_formula(pair.body),
-        "conclusion_head": print_formula(pair.head),
-    }
-    match d:
-        case SO(_, output):
-            record["param"] = print_formula(output)
-        case WI(_, input):
-            record["param"] = print_formula(input)
-    record["children"] = [derivation_to_dict(child) for child in _children(d)]
-    return record
+    order, concluded = _walk(d)
+    records: list[dict] = []
+    for node, parent, _ in order:
+        rule, _, param = _rule(node)
+        pair = concluded[id(node)]
+        record = {
+            "rule": rule,
+            "conclusion_body": print_formula(pair.body),
+            "conclusion_head": print_formula(pair.head),
+        }
+        if param is not None:
+            record["param"] = print_formula(param)
+        record["children"] = []
+        if parent >= 0:
+            records[parent]["children"].append(record)
+        records.append(record)
+    return records[0]
 
 
 def derivation_from_dict(record: dict) -> Derivation:

@@ -241,11 +241,13 @@ def naive_unfold_valid(
 
 def render_world_model(model: WorldModel) -> str:
     """Countermodel text: the world names, then one extension line per atom."""
-    lines = ["worlds: " + " ".join(f"w{i}" for i in range(model.world_count))]
-    for name in sorted(model.extension):
-        members = ", ".join(f"w{i}" for i in sorted(model.extension[name]))
-        lines.append(f"{name} = {{{members}}}")
-    return "\n".join(lines)
+    return "\n".join(_world_model_lines(world_model_to_dict(model)))
+
+
+def _world_model_lines(record: dict) -> list[str]:
+    """The text lines of a structured world-model record."""
+    lines = ["worlds: " + " ".join(record["worlds"])]
+    return lines + [f"{name} = {{{', '.join(ws)}}}" for name, ws in record["extension"].items()]
 
 
 def world_model_to_dict(model: WorldModel) -> dict:

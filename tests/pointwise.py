@@ -7,7 +7,10 @@ unfolding checked one valuation at a time.  The ``per_entailment_``
 engines decide membership the way iolog did before an engine call
 shared one set of truth tables among its entailments: one separate
 entailment per triggered body, per witness triple and per side
-condition, each one's own atoms held to the atom limit.  They evaluate
+condition, each one's own atoms held to the atom limit.  The
+``recursive_`` proof-tree functions compute conclusions and check
+certificates by recursion over the tree, as iolog did before one
+bottom-up pass computed every node's conclusion once.  They evaluate
 with the oracle in ``conftest.py`` and never call iolog's kernel, so the
 tests can compare the mask engines against them.
 """
@@ -23,12 +26,15 @@ from iolog import (
     DEFAULT_ATOM_LIMIT,
     AtomLimitError,
     SO,
+    TOP,
     WI,
     And,
     Atom,
     AxiomLeaf,
     Bottom,
+    CheckFailure,
     Implies,
+    Norm,
     Not,
     Or,
     Top,
@@ -36,7 +42,8 @@ from iolog import (
     UnboundAtomError,
     Verdict,
     WorldModel,
-    conclusion,
+    print_formula,
+    render_norm,
     source_ordered_heads,
 )
 
@@ -190,7 +197,7 @@ def _canonical_derivation(triggered, input, goal, limit):
     if not leaves:
         return None
     combined = reduce(AND, leaves)
-    if not limited_entails((conclusion(combined).head,), goal, limit):
+    if not limited_entails((recursive_conclusion(combined).head,), goal, limit):
         return None
     return SO(combined, goal)
 
@@ -205,3 +212,109 @@ def per_entailment_derive_verdict(norms, input, goal, limit=DEFAULT_ATOM_LIMIT) 
     certificate = _canonical_derivation(triggered, input, goal, limit)
     heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
+
+
+def recursive_conclusion(d):
+    """The pair a tree concludes, each node's recomputed from its whole subtree."""
+    if isinstance(d, TopIntro):
+        return Norm(TOP, TOP)
+    if isinstance(d, AxiomLeaf):
+        return d.norm
+    if isinstance(d, SO):
+        return Norm(recursive_conclusion(d.premise).body, d.output)
+    if isinstance(d, WI):
+        return Norm(d.input, recursive_conclusion(d.premise).head)
+    if isinstance(d, AND):
+        left, right = recursive_conclusion(d.left), recursive_conclusion(d.right)
+        return Norm(left.body, And(left.head, right.head))
+    raise TypeError(f"not a derivation: {d!r}")
+
+
+def recursive_verify_derivation(norms, d, goal, limit=DEFAULT_ATOM_LIMIT):
+    """The first failing node in pre-order, then the goal match, by recursion."""
+    failure = _recursive_verify_node(norms, d, (), limit)
+    if failure is not None:
+        return failure
+    concluded = recursive_conclusion(d)
+    if concluded != goal:
+        return CheckFailure(
+            (), f"conclusion {render_norm(concluded)} does not match goal {render_norm(goal)}"
+        )
+    return None
+
+
+def _recursive_verify_node(norms, d, path, limit):
+    if isinstance(d, TopIntro):
+        return None
+    if isinstance(d, AxiomLeaf):
+        if d.norm not in norms.norms:
+            return CheckFailure(path, f"axiom {render_norm(d.norm)} is not in the norm set")
+        return None
+    if isinstance(d, SO):
+        head = recursive_conclusion(d.premise).head
+        if not limited_entails((head,), d.output, limit):
+            return CheckFailure(
+                path,
+                f"SO side condition fails: {print_formula(head)} does not entail "
+                f"{print_formula(d.output)}",
+            )
+        return _recursive_verify_node(norms, d.premise, path + ("premise",), limit)
+    if isinstance(d, WI):
+        body = recursive_conclusion(d.premise).body
+        if not limited_entails((d.input,), body, limit):
+            return CheckFailure(
+                path,
+                f"WI side condition fails: {print_formula(d.input)} does not entail "
+                f"{print_formula(body)}",
+            )
+        return _recursive_verify_node(norms, d.premise, path + ("premise",), limit)
+    if isinstance(d, AND):
+        lbody, rbody = recursive_conclusion(d.left).body, recursive_conclusion(d.right).body
+        if lbody != rbody:
+            return CheckFailure(
+                path,
+                f"AND premises conclude different bodies: {print_formula(lbody)} vs "
+                f"{print_formula(rbody)}",
+            )
+        return _recursive_verify_node(norms, d.left, path + ("left",), limit) or (
+            _recursive_verify_node(norms, d.right, path + ("right",), limit)
+        )
+    raise TypeError(f"not a derivation: {d!r}")
+
+
+_TAGS = {TopIntro: "TOP", AxiomLeaf: "AX", SO: "SO", WI: "WI", AND: "AND"}
+
+
+def _premises(d):
+    if isinstance(d, (SO, WI)):
+        return (d.premise,)
+    if isinstance(d, AND):
+        return (d.left, d.right)
+    return ()
+
+
+def recursive_render_derivation(d) -> str:
+    """One line per node, by recursion, each node's conclusion recomputed."""
+    lines = []
+
+    def walk(node, depth):
+        lines.append("  " * depth + f"{_TAGS[type(node)]} ⊢ {render_norm(recursive_conclusion(node))}")
+        for child in _premises(node):
+            walk(child, depth + 1)
+
+    walk(d, 0)
+    return "\n".join(lines)
+
+
+def recursive_derivation_to_dict(d) -> dict:
+    """Nested records, by recursion, each node's conclusion recomputed."""
+    pair = recursive_conclusion(d)
+    record = {
+        "rule": _TAGS[type(d)],
+        "conclusion_body": print_formula(pair.body),
+        "conclusion_head": print_formula(pair.head),
+    }
+    if isinstance(d, (SO, WI)):
+        record["param"] = print_formula(d.output if isinstance(d, SO) else d.input)
+    record["children"] = [recursive_derivation_to_dict(child) for child in _premises(d)]
+    return record

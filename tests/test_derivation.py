@@ -1,11 +1,20 @@
 """Proof trees: structural conclusions, the checker, and the canonical builder."""
 
+import functools
 import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_formula, random_norm_set
+from conftest import formulas, norm_sets, random_formula, random_norm_set
+from pointwise import (
+    recursive_conclusion,
+    recursive_derivation_to_dict,
+    recursive_render_derivation,
+    recursive_verify_derivation,
+)
 from iolog import (
     AND,
     SO,
@@ -245,3 +254,114 @@ class TestStructuredForm:
     def test_malformed_record_raises_value_error(self, record):
         with pytest.raises(ValueError):
             derivation_from_dict(record)
+
+
+NAMES = ("a", "b", "c")
+SMALL_FORMULAS = formulas(NAMES, max_leaves=3)
+QUERY_FORMULAS = formulas(NAMES, max_leaves=4)
+NORM_SETS = norm_sets(NAMES, max_norms=5)
+POOL = parse_norms("(a, e)\n(b, e)\n(a, b)\n(a | b, c)\n(true, a)\n(c, a & b)\n(a, e & b)")
+TREES = st.recursive(
+    st.one_of(st.just(TopIntro()), st.sampled_from(POOL.norms).map(AxiomLeaf)),
+    lambda sub: st.one_of(
+        st.builds(SO, sub, SMALL_FORMULAS),
+        st.builds(WI, sub, SMALL_FORMULAS),
+        st.builds(AND, sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def random_trees(draw):
+    """A norm set drawn from ``POOL``, a tree of random rules over the norms of
+    ``POOL``, and a goal that is the tree's own conclusion half of the time."""
+    norms = NormSet(tuple(draw(st.lists(st.sampled_from(POOL.norms), max_size=4))))
+    tree = draw(TREES)
+    goal = recursive_conclusion(tree)
+    if draw(st.booleans()):
+        goal = Norm(draw(SMALL_FORMULAS), draw(SMALL_FORMULAS))
+    return norms, tree, goal
+
+
+def tamper(d, rng, f):
+    """``d`` with one node on a random path from the root changed by way of ``f``."""
+    if isinstance(d, AND) and rng.random() < 0.7:
+        if rng.random() < 0.5:
+            return AND(tamper(d.left, rng, f), d.right)
+        return AND(d.left, tamper(d.right, rng, f))
+    if isinstance(d, SO) and rng.random() < 0.7:
+        return SO(tamper(d.premise, rng, f), d.output)
+    if isinstance(d, WI) and rng.random() < 0.7:
+        return WI(tamper(d.premise, rng, f), d.input)
+    return rng.choice(
+        [
+            SO(d, f),
+            WI(d, f),
+            AxiomLeaf(Norm(f, f)),
+            TopIntro(),
+            SO(d.premise, f) if isinstance(d, SO) else WI(d.premise, f) if isinstance(d, WI) else d,
+        ]
+    )
+
+
+@st.composite
+def tampered_certificates(draw):
+    """A canonical certificate with one node changed, and the goal it was built for."""
+    norms, input, goal = draw(NORM_SETS), draw(QUERY_FORMULAS), draw(QUERY_FORMULAS)
+    d = construct_derivation(norms, input, goal)
+    if d is None:  # no proof exists: conjoin every norm anyway, a tree that fails its checks
+        leaves = [WI(AxiomLeaf(n), input) for n in norms] or [WI(TopIntro(), input)]
+        d = SO(functools.reduce(AND, leaves), goal)
+    d = tamper(d, draw(st.randoms(use_true_random=False)), draw(SMALL_FORMULAS))
+    return norms, d, Norm(input, goal)
+
+
+class TestAgainstRecursiveReference:
+    """The one bottom-up pass against the recursive walks it replaced: same conclusion,
+    same first failure (path and reason), same rendering."""
+
+    @staticmethod
+    def check(norms, d, goal):
+        assert conclusion(d) == recursive_conclusion(d)
+        assert verify_derivation(norms, d, goal) == recursive_verify_derivation(norms, d, goal)
+        assert derivation_to_dict(d) == recursive_derivation_to_dict(d)
+        assert render_derivation(d) == recursive_render_derivation(d)
+
+    @settings(max_examples=300)
+    @given(random_trees())
+    def test_random_trees(self, case):
+        self.check(*case)
+
+    @settings(max_examples=300)
+    @given(tampered_certificates())
+    def test_tampered_certificates(self, case):
+        self.check(*case)
+
+    def test_shared_subtree_is_checked_at_each_place(self):
+        leaf = WI(AxiomLeaf(Norm(A, B)), A)
+        d = AND(leaf, leaf)
+        failure = verify_derivation(ONE_NORM, d, Norm(A, And(B, B)))
+        assert failure == recursive_verify_derivation(ONE_NORM, d, Norm(A, And(B, B)))
+        assert failure.path == ("left", "premise")
+
+
+class TestDeepCertificates:
+    """The combined head of n triggered norms is n conjunctions deep; checking its
+    certificate must not recurse once per norm."""
+
+    @pytest.mark.parametrize("n", [1200, 3000])
+    def test_derive_verdicts_own_certificate_is_accepted(self, n):
+        norms = parse_norms("(a, e)\n" * n)
+        verdict = derive_verdict(norms, A, E)
+        assert verdict.holds
+        assert conclusion(verdict.certificate) == Norm(A, E)
+        assert verify_derivation(norms, verdict.certificate, Norm(A, E)) is None
+
+    def test_a_deep_tampered_leaf_is_found(self):
+        norms = parse_norms("(a, e)\n" * 1200)
+        certificate = derive_verdict(norms, A, E).certificate
+        d = SO(AND(certificate.premise, WI(AxiomLeaf(Norm(A, B)), A)), E)
+        failure = verify_derivation(norms, d, Norm(A, E))
+        assert failure.path == ("premise", "right", "premise")
+        assert failure.reason == "axiom (a, b) is not in the norm set"
