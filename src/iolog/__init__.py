@@ -9,144 +9,20 @@ Everything in the package is immutable and pure; all functions are safe
 to call concurrently.
 """
 
-from .derivation import (
-    AND,
-    SO,
-    WI,
-    AxiomLeaf,
-    CheckFailure,
-    Derivation,
-    TopIntro,
-    check_derivation,
-    conclusion,
-    construct_derivation,
-    derivation_from_dict,
-    derivation_to_dict,
-    derive_verdict,
-    render_derivation,
-    verify_derivation,
-)
-from .entail import (
-    DEFAULT_ATOM_LIMIT,
-    AtomLimitError,
-    UnboundAtomError,
-    Valuation,
-    counterexample_valuation,
-    entails,
-    eval_formula,
-    is_tautology,
-)
-from .formula import (
-    BOTTOM,
-    TOP,
-    And,
-    Atom,
-    Bottom,
-    Formula,
-    FormulaSyntaxError,
-    Implies,
-    Not,
-    Or,
-    Top,
-    atoms,
-    parse_formula,
-    print_formula,
-)
-from .norms import (
-    Norm,
-    NormSet,
-    NormSyntaxError,
-    load_norms,
-    parse_norm,
-    parse_norms,
-    render_norm,
-)
-from .output import (
-    Verdict,
-    out1_member,
-    out1_member_multi,
-    out1_triple_approx,
-    source_ordered_heads,
-    triggered_heads,
-)
-from .worlds import (
-    DEFAULT_SEARCH_BUDGET,
-    LiftedQuery,
-    SearchBudgetError,
-    WorldModel,
-    find_countermodel,
-    lifted_extension,
-    lifted_valid,
-    lifted_verdict,
-    naive_unfold_valid,
-    out1_member_lifted,
-    outpre_member_lifted,
-    render_world_model,
-    world_model_to_dict,
-)
+# Each layer's ``__all__`` is the one list of its public names; the package's
+# public API is their union.
+from .formula import *
+from .norms import *
+from .entail import *
+from .output import *
+from .derivation import *
+from .worlds import *
 
-__all__ = [
-    "AND",
-    "AtomLimitError",
-    "And",
-    "Atom",
-    "AxiomLeaf",
-    "BOTTOM",
-    "Bottom",
-    "CheckFailure",
-    "DEFAULT_ATOM_LIMIT",
-    "DEFAULT_SEARCH_BUDGET",
-    "Derivation",
-    "Formula",
-    "FormulaSyntaxError",
-    "Implies",
-    "LiftedQuery",
-    "Norm",
-    "NormSet",
-    "NormSyntaxError",
-    "Not",
-    "Or",
-    "SO",
-    "SearchBudgetError",
-    "TOP",
-    "Top",
-    "TopIntro",
-    "UnboundAtomError",
-    "Valuation",
-    "Verdict",
-    "WI",
-    "WorldModel",
-    "atoms",
-    "check_derivation",
-    "conclusion",
-    "construct_derivation",
-    "counterexample_valuation",
-    "derivation_from_dict",
-    "derivation_to_dict",
-    "derive_verdict",
-    "entails",
-    "eval_formula",
-    "find_countermodel",
-    "is_tautology",
-    "lifted_extension",
-    "lifted_valid",
-    "lifted_verdict",
-    "load_norms",
-    "naive_unfold_valid",
-    "out1_member",
-    "out1_member_lifted",
-    "out1_member_multi",
-    "out1_triple_approx",
-    "outpre_member_lifted",
-    "parse_formula",
-    "parse_norm",
-    "parse_norms",
-    "print_formula",
-    "render_derivation",
-    "render_norm",
-    "render_world_model",
-    "source_ordered_heads",
-    "triggered_heads",
-    "verify_derivation",
-    "world_model_to_dict",
-]
+__all__ = (
+    formula.__all__
+    + norms.__all__
+    + entail.__all__
+    + output.__all__
+    + derivation.__all__
+    + worlds.__all__
+)

@@ -313,18 +313,32 @@ def derivation_to_dict(d: Derivation) -> dict:
 
 
 def derivation_from_dict(record: dict) -> Derivation:
-    """Rebuild a derivation from its structured rendering; malformed records raise ValueError."""
+    """Rebuild a derivation from its structured rendering; malformed records raise ValueError.
+
+    Any record :func:`derivation_to_dict` writes reads back: one iterative pass
+    builds every premise before the node that uses it.
+    """
     try:
-        rule = record["rule"]
-        children = [derivation_from_dict(child) for child in record.get("children", ())]
-        # Each rule's constructor takes exactly its children, then its parameter.
-        if rule in ("TOP", "AND"):
-            return (TopIntro if rule == "TOP" else AND)(*children)
-        if rule == "AX":
-            body, head = record["conclusion_body"], record["conclusion_head"]
-            return AxiomLeaf(*children, Norm(parse_formula(body), parse_formula(head)))
-        if rule in ("SO", "WI"):
-            return (SO if rule == "SO" else WI)(*children, parse_formula(record["param"]))
+        order, stack = [], [record]  # pre-order, a node before its premises, left before right
+        while stack:
+            r = stack.pop()
+            children = list(r.get("children", ()))
+            order.append((r["rule"], r, len(children)))
+            stack += reversed(children)
+        built: list[Derivation] = []
+        for rule, r, arity in reversed(order):
+            # The premises are on top of ``built``, left first; each rule's constructor
+            # takes exactly its premises, then its parameter.
+            premises = [built.pop() for _ in range(arity)]
+            if rule in ("TOP", "AND"):
+                built.append((TopIntro if rule == "TOP" else AND)(*premises))
+            elif rule == "AX":
+                body, head = r["conclusion_body"], r["conclusion_head"]
+                built.append(AxiomLeaf(*premises, Norm(parse_formula(body), parse_formula(head))))
+            elif rule in ("SO", "WI"):
+                built.append((SO if rule == "SO" else WI)(*premises, parse_formula(r["param"])))
+            else:
+                raise ValueError(f"unknown rule tag {rule!r}")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed derivation record: {exc!r}") from None
-    raise ValueError(f"unknown rule tag {rule!r}")
+    return built[0]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula
@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # certificate types; imported lazily to avoid cycles
     from .worlds import WorldModel
 
 __all__ = [
-    "EngineTag",
     "Verdict",
     "triggered_heads",
     "source_ordered_heads",
@@ -37,8 +36,6 @@ __all__ = [
     "out1_member_multi",
     "out1_triple_approx",
 ]
-
-EngineTag = Literal["semantic", "derivation", "triple-approx", "lifted"]
 
 
 @dataclass(frozen=True)

@@ -177,12 +177,17 @@ def find_countermodel(
     fastest.  Sizes where world_count x atom_count would exceed the
     budget raise :class:`SearchBudgetError` instead of silently reporting
     absence.
+
+    The search stops after 2^n worlds for n query atoms, and absence beyond
+    that is exact: a lifted verdict depends only on the set of valuations the
+    worlds carry, so a larger countermodel repeats a valuation, and dropping
+    the repeats gives a smaller one, which comes first in canonical order.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     names = _query_atoms(query)
     member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
-    for world_count in range(1, max_worlds + 1):
+    for world_count in range(1, min(max_worlds, 2 ** len(names)) + 1):
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
         full = (1 << world_count) - 1

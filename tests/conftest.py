@@ -119,11 +119,8 @@ def random_norm_set(
 
 
 def formulas(names=("a", "b", "c"), max_leaves: int = 8):
-    leaves = st.one_of(
-        st.builds(Atom, st.sampled_from(list(names))),
-        st.just(TOP),
-        st.just(BOTTOM),
-    )
+    atom = [st.builds(Atom, st.sampled_from(names))] if names else []
+    leaves = st.one_of(*atom, st.just(TOP), st.just(BOTTOM))
     return st.recursive(
         leaves,
         lambda sub: st.one_of(

@@ -346,6 +346,16 @@ class TestAgainstRecursiveReference:
         assert failure.path == ("left", "premise")
 
 
+def preorder(record: dict) -> list[dict]:
+    """A record's nodes in pre-order, each with its children replaced by their count."""
+    nodes, stack = [], [record]
+    while stack:
+        r = stack.pop()
+        nodes.append({**r, "children": len(r["children"])})
+        stack += reversed(r["children"])
+    return nodes
+
+
 class TestDeepCertificates:
     """The combined head of n triggered norms is n conjunctions deep; checking its
     certificate must not recurse once per norm."""
@@ -365,3 +375,17 @@ class TestDeepCertificates:
         failure = verify_derivation(norms, d, Norm(A, E))
         assert failure.path == ("premise", "right", "premise")
         assert failure.reason == "axiom (a, b) is not in the norm set"
+
+    def test_the_record_of_480_triggered_norms_reads_back(self):
+        norms = parse_norms("(a, e)\n" * 480)
+        record = derivation_to_dict(derive_verdict(norms, A, E).certificate)
+        rebuilt = derivation_from_dict(record)
+        # Nested records 480 deep overflow ``==`` itself, so compare them flattened.
+        assert preorder(derivation_to_dict(rebuilt)) == preorder(record)
+        assert verify_derivation(norms, rebuilt, Norm(A, E)) is None
+
+    def test_a_3000_deep_record_reads_back(self):
+        record = {"rule": "TOP", "children": []}
+        for _ in range(3000):
+            record = {"rule": "WI", "param": "a", "children": [record]}
+        assert conclusion(derivation_from_dict(record)) == Norm(A, TOP)

@@ -123,6 +123,17 @@ class TestFindCountermodel:
         query = LiftedQuery(norms, input, goal, mode)
         assert find_countermodel(query, max_worlds) == walk_find_countermodel(query, max_worlds)
 
+    @settings(max_examples=60)
+    @given(st.data(), MODES, st.integers(1, 6))
+    def test_stopping_at_two_to_the_atoms_loses_no_model(self, data, mode, max_worlds):
+        # With at most two atoms the search stops at 4 worlds or fewer; the
+        # old enumerator runs every size up to max_worlds.
+        names = data.draw(st.sampled_from([(), ("a",), ("a", "b")]))
+        norms = data.draw(norm_sets(names, max_norms=3))
+        input, goal = data.draw(formulas(names, max_leaves=4)), data.draw(formulas(names, max_leaves=4))
+        query = LiftedQuery(norms, input, goal, mode)
+        assert find_countermodel(query, max_worlds) == walk_find_countermodel(query, max_worlds)
+
     def test_no_norms_refute_a_non_tautological_goal_at_one_world(self):
         query = LiftedQuery(NormSet(), Atom("a"), Atom("b"), "out1")
         assert find_countermodel(query, 3) == walk_find_countermodel(query, 3)

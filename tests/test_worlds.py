@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -181,6 +182,20 @@ class TestFindCountermodel:
             again = find_countermodel(query, bound)
             assert again == first
             assert again.world_count <= 2
+
+    def test_an_atomless_search_stops_after_one_world(self):
+        # Running every size up to a million worlds takes minutes.
+        query = LiftedQuery(NormSet(), parse_formula("true"), parse_formula("true"), "out1")
+        started = time.monotonic()
+        assert find_countermodel(query, 10**6) is None
+        assert time.monotonic() - started < 1.0
+
+    def test_a_one_atom_search_stops_after_two_worlds(self):
+        # 25 worlds x 1 atom would exceed the default budget of 24.
+        query = LiftedQuery(parse_norms("(a, a)"), A, A, "out1")
+        started = time.monotonic()
+        assert find_countermodel(query, 30) is None
+        assert time.monotonic() - started < 1.0
 
     def test_lifted_verdict_attaches_countermodel(self):
         verdict = lifted_verdict(TWO_NORMS, Or(A, B), E, max_worlds=4)
