@@ -284,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # a certificate of a few hundred triggered norms overflows print_formula
+    except RecursionError:  # json.dumps nests two levels per conjoined norm of a certificate
         print("error: the certificate is nested too deeply to render", file=sys.stderr)
         return 2
     print(out)

@@ -4,9 +4,11 @@ The formula language has lowercase atoms, the constants ``true`` and
 ``false``, and the connectives ``!`` (negation), ``&`` (conjunction),
 ``|`` (disjunction), and ``->`` (implication).  Precedence, lowest to
 highest: ``->`` (right-associative), ``|``, ``&`` (left-associative),
-``!`` (prefix).  Whitespace is insignificant and ``#`` starts a comment
-running to the end of the line.  Nesting deeper than ``MAX_DEPTH`` levels,
-each connective and each pair of parentheses being one, is a syntax error.
+``!`` (prefix); the parser and the printer read the binary connectives
+from one table, ``_BINARY``.  Whitespace is insignificant and ``#`` starts
+a comment running to the end of the line.  Nesting deeper than
+``MAX_DEPTH`` levels, each connective and each pair of parentheses being
+one, is a syntax error.
 
 Formula values are immutable and compare structurally; two formulas
 print identically exactly when they are structurally equal.  No
@@ -142,46 +144,44 @@ def _as_node(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Precedence levels used by the printer; parentheses are emitted only
-# where the grammar would otherwise reassociate.
-_IMPLIES, _OR, _AND, _UNARY = 1, 2, 3, 4
-
-
-def _prec(f: Formula) -> int:
-    match f:
-        case Implies(_, _):
-            return _IMPLIES
-        case Or(_, _):
-            return _OR
-        case And(_, _):
-            return _AND
-        case _:
-            return _UNARY
-
-
-def _wrap(f: Formula, min_prec: int) -> str:
-    text = print_formula(f)
-    return text if _prec(f) >= min_prec else f"({text})"
+# The binary connectives, loosest first: token kind, symbol, node class, groups right.
+# A level indexes this table; negation and the leaves are at len(_BINARY), the tightest.
+_BINARY = (
+    ("implies", "->", Implies, True),
+    ("or", "|", Or, False),
+    ("and", "&", And, False),
+)
+_TOKEN_LEVEL = {kind: level for level, (kind, _, _, _) in enumerate(_BINARY)}
+_NODE_LEVEL = dict.fromkeys((Atom, Top, Bottom, Not), len(_BINARY))
+_NODE_LEVEL.update((cls, level) for level, (_, _, cls, _) in enumerate(_BINARY))
 
 
 def print_formula(f: Formula) -> str:
-    """Render ``f`` with minimal parentheses; re-parses to an equal formula."""
-    match f:
-        case Atom(name):
-            return name
-        case Top():
-            return "true"
-        case Bottom():
-            return "false"
-        case Not(g):
-            return "!" + _wrap(g, _UNARY)
-        case And(l, r):
-            return f"{_wrap(l, _AND)} & {_wrap(r, _AND + 1)}"
-        case Or(l, r):
-            return f"{_wrap(l, _OR)} | {_wrap(r, _OR + 1)}"
-        case Implies(l, r):
-            return f"{_wrap(l, _IMPLIES + 1)} -> {_wrap(r, _IMPLIES)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Render ``f`` with minimal parentheses, without recursion; re-parses to an equal formula."""
+    parts: list[str] = []
+    stack: list = [(f, 0)]  # pending text, or (subformula, loosest level it may show bare)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        g, loosest = item
+        if (t := type(g)) not in _NODE_LEVEL:
+            g = _as_node(g)
+            t = type(g)
+        level = _NODE_LEVEL[t]
+        if level < loosest:
+            parts.append("(")
+            stack.append(")")
+        if level < len(_BINARY):
+            _, symbol, _, right = _BINARY[level]
+            stack += ((g.right, level + (not right)), f" {symbol} ", (g.left, level + right))
+        elif t is Not:
+            parts.append("!")
+            stack.append((g.operand, level))
+        else:
+            parts.append(g.name if t is Atom else "true" if t is Top else "false")
+    return "".join(parts)
 
 
 class _Token(NamedTuple):
@@ -227,7 +227,7 @@ def _describe(tok: _Token) -> str:
 
 
 class _Parser:
-    """Recursive descent; each method returns a formula and its nesting depth."""
+    """Precedence climbing; each method returns a formula and its nesting depth."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -259,24 +259,16 @@ class _Parser:
         depth = self.level(self.tokens[self.pos - 1], 1 + max(d for _, d in parts))
         return cls(*(f for f, _ in parts)), depth
 
-    def implication(self) -> tuple[Formula, int]:
-        left = self.disjunction()
-        if self.peek().kind == "implies":
-            return self.node(Implies, left, self.nested(self.implication))
-        return left
-
-    def disjunction(self) -> tuple[Formula, int]:
-        f = self.conjunction()
-        while self.peek().kind == "or":
-            self.advance()
-            f = self.node(Or, f, self.conjunction())
-        return f
-
-    def conjunction(self) -> tuple[Formula, int]:
+    def binary(self, loosest: int = 0) -> tuple[Formula, int]:
+        """A formula whose connectives outside parentheses bind at ``loosest`` or tighter."""
         f = self.unary()
-        while self.peek().kind == "and":
-            self.advance()
-            f = self.node(And, f, self.unary())
+        while (level := _TOKEN_LEVEL.get(self.peek().kind, -1)) >= loosest:
+            _, _, cls, right = _BINARY[level]
+            if right:  # recurses once per connective, so it opens a level like '!' and '('
+                f = self.node(cls, f, self.nested(lambda: self.binary(level)))
+            else:
+                self.advance()
+                f = self.node(cls, f, self.binary(level + 1))
         return f
 
     def unary(self) -> tuple[Formula, int]:
@@ -293,7 +285,7 @@ class _Parser:
             self.advance()
             return Atom(tok.text), 0
         if tok.kind == "lparen":
-            f, depth = self.nested(self.implication)
+            f, depth = self.nested(self.binary)
             closing = self.peek()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError(closing.pos, f"expected ')', found {_describe(closing)}")
@@ -307,7 +299,7 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse formula text, raising :class:`FormulaSyntaxError` on bad input."""
     parser = _Parser(_tokenize(text))
-    f, _ = parser.implication()
+    f, _ = parser.binary()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise FormulaSyntaxError(trailing.pos, f"unexpected {_describe(trailing)} after the formula")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import or_
+from types import MappingProxyType
 from typing import Literal, Mapping
 
 from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
@@ -64,7 +65,7 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorldModel:
-    """A non-empty finite world set plus, per atom, the worlds where it holds."""
+    """A non-empty finite world set plus a read-only map from atoms to the worlds they hold in."""
 
     world_count: int
     extension: Mapping[str, frozenset[int]]
@@ -76,7 +77,13 @@ class WorldModel:
         for name, worlds in frozen.items():
             if not all(0 <= w < self.world_count for w in worlds):
                 raise ValueError(f"extension of {name!r} mentions out-of-range worlds")
-        object.__setattr__(self, "extension", frozen)
+        object.__setattr__(self, "extension", MappingProxyType(frozen))
+
+    def __hash__(self) -> int:
+        return hash((self.world_count, frozenset(self.extension.items())))
+
+    def __reduce__(self):
+        return type(self), (self.world_count, dict(self.extension))
 
     @property
     def worlds(self) -> frozenset[int]:

@@ -12,7 +12,10 @@ condition, each one's own atoms held to the atom limit.  The
 certificates by recursion over the tree, as iolog did before one
 bottom-up pass computed every node's conclusion once.  They evaluate
 with the oracle in ``conftest.py`` and never call iolog's kernel, so the
-tests can compare the mask engines against them.
+tests can compare the mask engines against them.  The ``recursive_``
+formula printer and parser are iolog's before one table of binary
+connectives drove both: a printer that recurses once per connective, and
+one recursive-descent method per precedence level over iolog's tokens.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import reduce
 from conftest import oracle_atoms, oracle_entails, oracle_eval, oracle_valuations
 from iolog import (
     AND,
+    BOTTOM,
     DEFAULT_ATOM_LIMIT,
     AtomLimitError,
     SO,
@@ -33,6 +37,7 @@ from iolog import (
     AxiomLeaf,
     Bottom,
     CheckFailure,
+    FormulaSyntaxError,
     Implies,
     Norm,
     Not,
@@ -46,6 +51,7 @@ from iolog import (
     render_norm,
     source_ordered_heads,
 )
+from iolog.formula import MAX_DEPTH, _tokenize
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:
@@ -318,3 +324,133 @@ def recursive_derivation_to_dict(d) -> dict:
         record["param"] = print_formula(d.output if isinstance(d, SO) else d.input)
     record["children"] = [recursive_derivation_to_dict(child) for child in _premises(d)]
     return record
+
+
+_IMPLIES, _OR, _AND, _UNARY = 1, 2, 3, 4
+
+
+def _prec(f) -> int:
+    match f:
+        case Implies(_, _):
+            return _IMPLIES
+        case Or(_, _):
+            return _OR
+        case And(_, _):
+            return _AND
+        case _:
+            return _UNARY
+
+
+def _wrap(f, min_prec: int) -> str:
+    text = recursive_print_formula(f)
+    return text if _prec(f) >= min_prec else f"({text})"
+
+
+def recursive_print_formula(f) -> str:
+    """Minimal parentheses, by recursion: one call per connective."""
+    match f:
+        case Atom(name):
+            return name
+        case Top():
+            return "true"
+        case Bottom():
+            return "false"
+        case Not(g):
+            return "!" + _wrap(g, _UNARY)
+        case And(l, r):
+            return f"{_wrap(l, _AND)} & {_wrap(r, _AND + 1)}"
+        case Or(l, r):
+            return f"{_wrap(l, _OR)} | {_wrap(r, _OR + 1)}"
+        case Implies(l, r):
+            return f"{_wrap(l, _IMPLIES + 1)} -> {_wrap(r, _IMPLIES)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _describe(tok) -> str:
+    return "end of input" if tok.kind == "end" else repr(tok.text)
+
+
+class _RecursiveParser:
+    """One method per precedence level; each returns a formula and its nesting depth."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.open = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def level(self, tok, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(tok.pos, f"formula nested more than {MAX_DEPTH} levels deep")
+        return depth
+
+    def nested(self, parse):
+        self.open = self.level(self.advance(), self.open + 1)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def node(self, cls, *parts):
+        depth = self.level(self.tokens[self.pos - 1], 1 + max(d for _, d in parts))
+        return cls(*(f for f, _ in parts)), depth
+
+    def implication(self):
+        left = self.disjunction()
+        if self.peek().kind == "implies":
+            return self.node(Implies, left, self.nested(self.implication))
+        return left
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.peek().kind == "or":
+            self.advance()
+            f = self.node(Or, f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.peek().kind == "and":
+            self.advance()
+            f = self.node(And, f, self.unary())
+        return f
+
+    def unary(self):
+        tok = self.peek()
+        if tok.kind == "not":
+            return self.node(Not, self.nested(self.unary))
+        if tok.kind == "true":
+            self.advance()
+            return TOP, 0
+        if tok.kind == "false":
+            self.advance()
+            return BOTTOM, 0
+        if tok.kind == "atom":
+            self.advance()
+            return Atom(tok.text), 0
+        if tok.kind == "lparen":
+            f, depth = self.nested(self.implication)
+            closing = self.peek()
+            if closing.kind != "rparen":
+                raise FormulaSyntaxError(closing.pos, f"expected ')', found {_describe(closing)}")
+            return f, self.level(self.advance(), depth + 1)
+        raise FormulaSyntaxError(
+            tok.pos,
+            f"expected a formula (atom, 'true', 'false', '!' or '('), found {_describe(tok)}",
+        )
+
+
+def recursive_parse_formula(text: str):
+    """Parse by recursive descent, one method per precedence level."""
+    parser = _RecursiveParser(_tokenize(text))
+    f, _ = parser.implication()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise FormulaSyntaxError(trailing.pos, f"unexpected {_describe(trailing)} after the formula")
+    return f

@@ -152,9 +152,10 @@ class TestNestingLimit:
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
         assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("form", ["text", "structured"])
+    @pytest.mark.parametrize("form", ["structured"])
     def test_certificate_too_deep_to_render_exits_two(self, tmp_path, form, capsys):
-        """600 triggered norms conjoin into a certificate 600 levels deep."""
+        """600 triggered norms conjoin into a certificate 600 levels deep, and
+        ``json.dumps`` recurses twice per level."""
         path = tmp_path / "many.txt"
         path.write_text("(a, e)\n" * 600)
         argv = ["check", "--norms", str(path), "--input", "a", "--goal", "e",
@@ -163,6 +164,24 @@ class TestNestingLimit:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: the certificate is nested too deeply to render\n"
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_large_certificate_renders_as_text(self, tmp_path, n, capsys):
+        """The printer has no recursion, so any certificate prints as text."""
+        path = tmp_path / "many.txt"
+        path.write_text("(a, e)\n" * n)
+        argv = ["check", "--norms", str(path), "--input", "a", "--goal", "e",
+                "--engine", "derivation"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.split("\n")
+        certificate = lines[lines.index("certificate:") + 1:-1]
+        rules = [line.split()[0] for line in certificate]
+        assert rules[0] == "SO" and rules.count("SO") == 1
+        assert (rules.count("AND"), rules.count("WI"), rules.count("AX")) == (n - 1, n, n)
+        assert len(rules) == 3 * n
+        assert certificate[1] == "  AND ⊢ (a, " + " & ".join(["e"] * n) + ")"
 
     @pytest.mark.parametrize("kind", NESTINGS)
     def test_formula_at_the_limit_renders_structured_output(self, tmp_path, kind, capsys):

@@ -384,6 +384,15 @@ class TestDeepCertificates:
         assert preorder(derivation_to_dict(rebuilt)) == preorder(record)
         assert verify_derivation(norms, rebuilt, Norm(A, E)) is None
 
+    def test_the_certificate_of_600_triggered_norms_renders(self):
+        certificate = derive_verdict(parse_norms("(a, e)\n" * 600), A, E).certificate
+        nodes = preorder(derivation_to_dict(certificate))
+        assert [r["rule"] for r in nodes[:2]] == ["SO", "AND"]
+        assert nodes[1]["conclusion_head"] == " & ".join(["e"] * 600)
+        lines = render_derivation(certificate).split("\n")
+        assert len(lines) == len(nodes) == 3 * 600
+        assert lines[1] == f"  AND ⊢ (a, {nodes[1]['conclusion_head']})"
+
     def test_a_3000_deep_record_reads_back(self):
         record = {"rule": "TOP", "children": []}
         for _ in range(3000):

@@ -1,7 +1,8 @@
 """Formula syntax: parser, printer, and their round trip."""
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import NESTINGS, TOO_DEEP, formulas, nested_text
 from iolog import (
@@ -19,8 +20,20 @@ from iolog import (
     print_formula,
 )
 from iolog.formula import MAX_DEPTH
+from pointwise import recursive_parse_formula, recursive_print_formula
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
+
+# The whole lexicon, a lone '-' and a bad character included, run together
+# without spaces as often as with them.
+LEXICON = ("a", "b", "true", "false", "!", "&", "|", "->", "-", "(", ")", " ", "\t", "# c\n", "$")
+SOUP = st.lists(st.sampled_from(LEXICON), max_size=30).map("".join)
+# Text at the nesting limit, one level either side, between two soups.
+NEAR_THE_LIMIT = st.tuples(
+    SOUP,
+    st.builds(nested_text, st.sampled_from(NESTINGS), st.integers(MAX_DEPTH - 1, MAX_DEPTH + 1)),
+    SOUP,
+).map("".join)
 
 
 class TestParsing:
@@ -183,3 +196,31 @@ class TestRoundTrip:
     @given(formulas(), formulas())
     def test_printing_identical_iff_structurally_equal(self, f, g):
         assert (print_formula(f) == print_formula(g)) == (f == g)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as err:
+        return err.position, err.reason
+
+
+class TestAgainstRecursiveReference:
+    """The table-driven parser and printer against the recursive ones they replaced."""
+
+    @given(formulas(max_leaves=16))
+    def test_printer(self, f):
+        assert print_formula(f) == recursive_print_formula(f)
+
+    @settings(max_examples=500)
+    @given(st.one_of(SOUP, NEAR_THE_LIMIT, formulas(max_leaves=16).map(recursive_print_formula)))
+    def test_parser_gives_the_same_formula_or_the_same_error(self, text):
+        assert _outcome(parse_formula, text) == _outcome(recursive_parse_formula, text)
+
+    def test_ten_thousand_deep_chains_print(self):
+        left, right, negated = A, A, A
+        for _ in range(10_000):
+            left, right, negated = And(left, B), And(B, right), Not(negated)
+        assert print_formula(left) == " & ".join(["a"] + ["b"] * 10_000)
+        assert print_formula(right) == "b & (" * 9_999 + "b & a" + ")" * 9_999
+        assert print_formula(negated) == "!" * 10_000 + "a"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import formulas, oracle_atoms, oracle_entails, oracle_eval
+from pointwise import recursive_print_formula
 from iolog import (
     BOTTOM,
     TOP,
@@ -27,6 +28,7 @@ from iolog import (
     eval_formula,
     out1_member,
     parse_formula,
+    print_formula,
 )
 
 A, B = Atom("a"), Atom("b")
@@ -120,6 +122,11 @@ class TestSubclasses:
         assert entails([sf], sg) == entails([f], g) == oracle_entails([sf], sg)
         assert counterexample_valuation([sf], sg) == counterexample_valuation([f], g)
 
+    @given(formulas(("a", "b", "c", "d"), max_leaves=16))
+    def test_print_as_their_base_class(self, f):
+        sf = subclassed(f)
+        assert print_formula(sf) == recursive_print_formula(sf) == print_formula(f)
+
     def test_subclass_nodes_in_norms(self):
         norms = NormSet((Norm(TaggedAtom("a"), Conjunction(A, B)),))
         verdict = out1_member(norms, Conjunction(A, TaggedAtom("c")), B)
@@ -130,3 +137,5 @@ class TestSubclasses:
             atoms(Conjunction(A, "b"))
         with pytest.raises(TypeError):
             eval_formula(Conjunction(A, "b"), {"a": True})
+        with pytest.raises(TypeError, match="not a formula: 'b'"):
+            print_formula(Conjunction(A, "b"))

@@ -1,6 +1,7 @@
 """World-lifted evaluation, the countermodel finder, and the naive unfolding."""
 
 import itertools
+import pickle
 import random
 import time
 
@@ -64,6 +65,32 @@ class TestWorldModel:
     def test_extensions_must_be_in_bounds(self):
         with pytest.raises(ValueError):
             WorldModel(2, {"a": frozenset({2})})
+
+    def test_extension_cannot_be_mutated(self):
+        model = WorldModel(2, {"a": {0}})
+        with pytest.raises(TypeError):
+            model.extension["a"] = frozenset({5})
+        with pytest.raises(TypeError):
+            del model.extension["a"]
+        assert model.extension == {"a": frozenset({0})}
+
+    def test_equal_models_hash_equal_whatever_the_input_types_and_order(self):
+        model = WorldModel(2, {"a": {0}, "b": [1, 0]})
+        same = WorldModel(2, {"b": frozenset({0, 1}), "a": frozenset({0})})
+        assert model == same and hash(model) == hash(same)
+        assert model != WorldModel(3, {"a": {0}, "b": {0, 1}})
+        assert len({model, same, SPLIT}) == 2
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips(self, protocol):
+        again = pickle.loads(pickle.dumps(SPLIT, protocol))
+        assert again == SPLIT and hash(again) == hash(SPLIT)
+        with pytest.raises(TypeError):
+            again.extension["a"] = frozenset()
+
+    def test_a_verdict_carrying_a_countermodel_is_hashable(self):
+        verdict = lifted_verdict(TWO_NORMS, Or(A, B), E, max_worlds=4)
+        assert hash(verdict) == hash(pickle.loads(pickle.dumps(verdict)))
 
 
 class TestLiftedExtension:
