@@ -45,9 +45,8 @@ class CliError(Exception):
 
 
 def _atom_limit(args: argparse.Namespace) -> int:
-    if args.atom_limit is not None:
-        limit = args.atom_limit
-    else:
+    limit = args.atom_limit
+    if limit is None:
         raw = os.environ.get("IOLOG_ATOM_LIMIT")
         if raw is None:
             return DEFAULT_ATOM_LIMIT
@@ -55,15 +54,13 @@ def _atom_limit(args: argparse.Namespace) -> int:
             limit = int(raw)
         except ValueError:
             raise CliError(f"IOLOG_ATOM_LIMIT must be an integer, got {raw!r}") from None
-    if limit < 1:
-        raise CliError("the atom limit must be positive")
-    return limit
+    return _positive(limit, "the atom limit")
 
 
-def _max_worlds(args: argparse.Namespace) -> int:
-    if args.max_worlds < 1:
-        raise CliError("--max-worlds must be positive")
-    return args.max_worlds
+def _positive(value: int, what: str) -> int:
+    if value < 1:
+        raise CliError(f"{what} must be positive")
+    return value
 
 
 def _query(args: argparse.Namespace) -> tuple[NormSet, Formula, Formula]:
@@ -82,13 +79,13 @@ def _query_doc(norms: NormSet, input: Formula, goal: Formula, operation: str) ->
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
     norms, input, goal = _query(args)
-
-    if args.engine == "lifted":
-        max_worlds = _max_worlds(args)
-        verdict = lifted_verdict(norms, input, goal, max_worlds=max_worlds, atom_limit=atom_limit)
-    else:
-        engines = dict(semantic=out1_member, triple=out1_triple_approx, derivation=derive_verdict)
-        verdict = engines[args.engine](norms, input, goal, atom_limit=atom_limit)
+    engines = dict(
+        semantic=out1_member, triple=out1_triple_approx, derivation=derive_verdict,
+        lifted=lambda *query, atom_limit: lifted_verdict(
+            *query, max_worlds=_positive(args.max_worlds, "--max-worlds"), atom_limit=atom_limit
+        ),
+    )
+    verdict = engines[args.engine](norms, input, goal, atom_limit=atom_limit)
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),
@@ -123,12 +120,10 @@ def _check_text(report: dict) -> list[str]:
 def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     _atom_limit(args)  # validated for parity; the lifted search needs no limit
     norms, input, goal = _query(args)
-    max_worlds = _max_worlds(args)
-    if args.budget < 1:
-        raise CliError("--budget must be positive")
+    max_worlds = _positive(args.max_worlds, "--max-worlds")
 
     query = LiftedQuery(norms, input, goal, args.mode)
-    model = find_countermodel(query, max_worlds, budget=args.budget)
+    model = find_countermodel(query, max_worlds, budget=_positive(args.budget, "--budget"))
 
     report = {
         "query": _query_doc(norms, input, goal, args.mode),
@@ -180,7 +175,8 @@ def _naive_text(report: dict) -> list[str]:
 
 def _cmd_examples(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
-    rows = reference.run_reference_matrix(max_worlds=_max_worlds(args), atom_limit=atom_limit)
+    max_worlds = _positive(args.max_worlds, "--max-worlds")
+    rows = reference.run_reference_matrix(max_worlds=max_worlds, atom_limit=atom_limit)
     mismatches = sum(not row.ok for row in rows)
     report = {"rows": [{**asdict(row), "ok": row.ok} for row in rows], "mismatches": mismatches}
     return report, 1 if mismatches else 0
@@ -266,12 +262,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` from an explicit stack, so a report of any depth
+    prints; a report holds dicts with string keys, lists, strings, ints, bools and None."""
+    parts, stack = [], [(report, 0)]
+    while stack:
+        if isinstance(item := stack.pop(), str):  # the text between two values
+            parts.append(item)
+            continue
+        value, depth = item
+        if not value or not isinstance(value, (dict, list)):
+            parts.append(json.dumps(value))
+            continue
+        pad = "\n" + "  " * depth
+        if isinstance(value, dict):
+            opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in value.items()]
+        else:
+            opener, closer, items = "[", "]", [("", v) for v in value]
+        parts.append(opener)
+        stack.append(pad + closer)
+        for i, (key, v) in reversed(list(enumerate(items))):
+            stack += [(v, depth + 1), ("," if i else "") + pad + "  " + key]
+    return "".join(parts)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
         structured = args.format == "structured"
-        out = json.dumps(report, indent=2) if structured else "\n".join(args.text(report))
+        out = _dumps(report) if structured else "\n".join(args.text(report))
     except (
         CliError,
         FormulaSyntaxError,
@@ -283,9 +303,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:  # json.dumps nests two levels per conjoined norm of a certificate
-        print("error: the certificate is nested too deeply to render", file=sys.stderr)
         return 2
     print(out)
     return code

@@ -1,6 +1,6 @@
 """Proof trees for the norm calculus, their checker, and a canonical builder.
 
-The calculus derives (body, head) pairs from a norm set using four
+The calculus derives (body, head) pairs from a norm set using five
 rules: the axiom pair (true, true); any norm of the set as a leaf;
 weakening the output along entailment (SO); strengthening the input
 along entailment (WI); and conjoining the heads of two derivations that
@@ -82,20 +82,22 @@ class AND(Derivation):
     right: Derivation
 
 
-def _rule(d: Derivation) -> tuple[str, tuple[tuple[str, Derivation], ...], Formula | None]:
-    """A node's rule tag, its premises with the attribute holding each (left before
-    right), and its SO or WI parameter."""
-    match d:
-        case TopIntro():
-            return "TOP", (), None
-        case AxiomLeaf():
-            return "AX", (), None
-        case SO(premise, output):
-            return "SO", (("premise", premise),), output
-        case WI(premise, input):
-            return "WI", (("premise", premise),), input
-        case AND(left, right):
-            return "AND", (("left", left), ("right", right)), None
+# Each rule's tag, the attributes holding its premises (left before right), and the
+# attribute holding its SO or WI parameter.
+_RULES: dict[type, tuple[str, tuple[str, ...], str | None]] = {
+    TopIntro: ("TOP", (), None),
+    AxiomLeaf: ("AX", (), None),
+    SO: ("SO", ("premise",), "output"),
+    WI: ("WI", ("premise",), "input"),
+    AND: ("AND", ("left", "right"), None),
+}
+
+
+def _rule(d: Derivation) -> tuple[str, tuple[str, ...], str | None]:
+    """The table entry of ``d``'s rule; a node of a subclass reads as the rule it derives from."""
+    for cls in type(d).__mro__:
+        if (entry := _RULES.get(cls)) is not None:
+            return entry
     raise TypeError(f"not a derivation: {d!r}")
 
 
@@ -109,8 +111,9 @@ def _walk(d: Derivation) -> tuple[list[tuple[Derivation, int, str]], dict[int, N
         entry = stack.pop()
         parent = len(order)
         order.append(entry)
-        for step, child in reversed(_rule(entry[0])[1]):
-            stack.append((child, parent, step))
+        node = entry[0]
+        for step in reversed(_rule(node)[1]):
+            stack.append((getattr(node, step), parent, step))
     concluded: dict[int, Norm] = {}
     for node, _, _ in reversed(order):  # rules tested commonest first
         if isinstance(node, WI):
@@ -177,31 +180,24 @@ def _violation(
     norms: NormSet, d: Derivation, concluded: dict[int, Norm], atom_limit: int
 ) -> str | None:
     """The side condition ``d`` violates, given its premises' conclusions, or None."""
-    match d:
-        case AxiomLeaf(norm) if norm not in norms.norms:
-            return f"axiom {render_norm(norm)} is not in the norm set"
-        case SO(premise, output):
-            head = concluded[id(premise)].head
-            # The conjuncts as premises: the same test, and no recursion per conjoined norm.
-            if not entails(_conjuncts(head), output, atom_limit=atom_limit):
-                return (
-                    f"SO side condition fails: {print_formula(head)} does not entail "
-                    f"{print_formula(output)}"
-                )
-        case WI(premise, input):
-            body = concluded[id(premise)].body
-            if not entails((input,), body, atom_limit=atom_limit):
-                return (
-                    f"WI side condition fails: {print_formula(input)} does not entail "
-                    f"{print_formula(body)}"
-                )
-        case AND(left, right):
-            lbody, rbody = concluded[id(left)].body, concluded[id(right)].body
-            if lbody != rbody:
-                return (
-                    f"AND premises conclude different bodies: {print_formula(lbody)} vs "
-                    f"{print_formula(rbody)}"
-                )
+    if isinstance(d, AxiomLeaf) and d.norm not in norms.norms:
+        return f"axiom {render_norm(d.norm)} is not in the norm set"
+    if isinstance(d, (SO, WI)):
+        pair = concluded[id(d.premise)]
+        strong, weak = (pair.head, d.output) if isinstance(d, SO) else (d.input, pair.body)
+        # The conjuncts as premises: the same test, and no recursion per conjoined norm.
+        if not entails(_conjuncts(strong), weak, atom_limit=atom_limit):
+            return (
+                f"{_rule(d)[0]} side condition fails: {print_formula(strong)} does not entail "
+                f"{print_formula(weak)}"
+            )
+    if isinstance(d, AND):
+        lbody, rbody = concluded[id(d.left)].body, concluded[id(d.right)].body
+        if lbody != rbody:
+            return (
+                f"AND premises conclude different bodies: {print_formula(lbody)} vs "
+                f"{print_formula(rbody)}"
+            )
     return None
 
 
@@ -304,7 +300,7 @@ def derivation_to_dict(d: Derivation) -> dict:
             "conclusion_head": print_formula(pair.head),
         }
         if param is not None:
-            record["param"] = print_formula(param)
+            record["param"] = print_formula(getattr(node, param))
         record["children"] = []
         if parent >= 0:
             records[parent]["children"].append(record)
@@ -327,18 +323,18 @@ def derivation_from_dict(record: dict) -> Derivation:
             stack += reversed(children)
         built: list[Derivation] = []
         for rule, r, arity in reversed(order):
-            # The premises are on top of ``built``, left first; each rule's constructor
-            # takes exactly its premises, then its parameter.
-            premises = [built.pop() for _ in range(arity)]
-            if rule in ("TOP", "AND"):
-                built.append((TopIntro if rule == "TOP" else AND)(*premises))
-            elif rule == "AX":
-                body, head = r["conclusion_body"], r["conclusion_head"]
-                built.append(AxiomLeaf(*premises, Norm(parse_formula(body), parse_formula(head))))
-            elif rule in ("SO", "WI"):
-                built.append((SO if rule == "SO" else WI)(*premises, parse_formula(r["param"])))
-            else:
+            cls = next((c for c, entry in _RULES.items() if entry[0] == rule), None)
+            if cls is None:
                 raise ValueError(f"unknown rule tag {rule!r}")
+            # The premises are on top of ``built``, left first; each rule's constructor
+            # takes exactly its premises, then its parameter or, for AX, its norm.
+            args = [built.pop() for _ in range(arity)]
+            if cls is AxiomLeaf:
+                body, head = r["conclusion_body"], r["conclusion_head"]
+                args.append(Norm(parse_formula(body), parse_formula(head)))
+            elif _RULES[cls][2] is not None:
+                args.append(parse_formula(r["param"]))
+            built.append(cls(*args))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed derivation record: {exc!r}") from None
     return built[0]

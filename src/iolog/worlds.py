@@ -221,9 +221,8 @@ def lifted_verdict(
     Holds when no model up to ``max_worlds`` falsifies the query; a found
     countermodel is attached as the certificate.
     """
-    query = LiftedQuery(norms, input, goal, "out1")
-    model = find_countermodel(query, max_worlds, budget=budget)
-    heads = triggered_heads(norms, input, atom_limit=atom_limit)
+    heads = triggered_heads(norms, input, atom_limit=atom_limit)  # the cheap guard first
+    model = find_countermodel(LiftedQuery(norms, input, goal, "out1"), max_worlds, budget=budget)
     return Verdict(model is None, "lifted", triggered=heads, certificate=model)
 
 

@@ -2,13 +2,15 @@
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import iolog.derivation
 import iolog.worlds
 from conftest import NESTINGS, TOO_DEEP, nested_text
 from iolog import SO, TOP, WI, TopIntro
-from iolog.cli import main
+from iolog.cli import _dumps, main
 from iolog.formula import MAX_DEPTH
 
 
@@ -152,18 +154,18 @@ class TestNestingLimit:
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
         assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("form", ["structured"])
-    def test_certificate_too_deep_to_render_exits_two(self, tmp_path, form, capsys):
-        """600 triggered norms conjoin into a certificate 600 levels deep, and
-        ``json.dumps`` recurses twice per level."""
+    def test_large_certificate_renders_structured(self, tmp_path, capsys):
+        """600 triggered norms conjoin into a certificate 600 records deep, which the
+        report writer prints without recursion."""
         path = tmp_path / "many.txt"
         path.write_text("(a, e)\n" * 600)
         argv = ["check", "--norms", str(path), "--input", "a", "--goal", "e",
-                "--engine", "derivation", "--format", form]
-        assert main(argv) == 2
+                "--engine", "derivation", "--format", "structured"]
+        assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: the certificate is nested too deeply to render\n"
+        assert err == ""
+        assert out.count('"rule": "AND"') == 599
+        assert out.count('"rule": "WI"') == out.count('"rule": "AX"') == 600
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_large_certificate_renders_as_text(self, tmp_path, n, capsys):
@@ -194,6 +196,32 @@ class TestNestingLimit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["rule"] == "SO"
         assert iolog.derivation.derivation_from_dict(doc["certificate"]) is not None
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+REPORTS = st.dictionaries(
+    st.text(),
+    st.recursive(
+        SCALARS,
+        lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(), sub, max_size=4),
+        max_leaves=40,
+    ),
+)
+
+
+class TestReportWriter:
+    """The writer of ``--format structured`` against ``json.dumps(report, indent=2)``."""
+
+    @settings(max_examples=500)
+    @given(REPORTS)
+    def test_matches_json_dumps(self, report):
+        assert _dumps(report) == json.dumps(report, indent=2)
+
+    def test_matches_json_dumps_on_a_deep_report(self):
+        report = {"rule": "TOP", "children": []}
+        for i in range(300):  # 600 levels: deep, yet within json.dumps's recursion limit
+            report = {"rule": "AND", "n": i, "ok": i % 2 == 0, "children": [{}, report, []]}
+        assert _dumps(report) == json.dumps(report, indent=2)
 
 
 class TestCountermodel:

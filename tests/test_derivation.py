@@ -256,6 +256,32 @@ class TestStructuredForm:
             derivation_from_dict(record)
 
 
+def sample_tree(rules: dict, input, output):
+    """A tree that uses all five rules, each node made of ``rules.get(its rule class)``
+    or else of the rule class itself."""
+    top, ax, so, wi, and_ = (rules.get(c, c) for c in (TopIntro, AxiomLeaf, SO, WI, AND))
+    return so(and_(wi(ax(Norm(A, E)), input), wi(top(), input)), output)
+
+
+class TestSubclassedRuleNodes:
+    """A node of a subclass of a rule class reads as that rule everywhere."""
+
+    @pytest.mark.parametrize("rule", [TopIntro, AxiomLeaf, SO, WI, AND], ids=lambda c: c.__name__)
+    # Accepted; failing the WI side condition; failing the SO side condition.
+    @pytest.mark.parametrize("input, output", [(And(A, B), E), (Or(A, B), E), (And(A, B), C)])
+    def test_reads_as_its_rule(self, rule, input, output):
+        base = sample_tree({}, input, output)
+        sub = sample_tree({rule: type(f"My{rule.__name__}", (rule,), {})}, input, output)
+        assert sub != base
+        assert conclusion(sub) == conclusion(base)
+        for norms in (ONE_NORM, NormSet(())):  # without (a, e) the leaf is rejected
+            goal = Norm(input, output)
+            assert verify_derivation(norms, sub, goal) == verify_derivation(norms, base, goal)
+        assert derivation_to_dict(sub) == derivation_to_dict(base)
+        assert render_derivation(sub) == render_derivation(base)
+        assert derivation_from_dict(derivation_to_dict(sub)) == base
+
+
 NAMES = ("a", "b", "c")
 SMALL_FORMULAS = formulas(NAMES, max_leaves=3)
 QUERY_FORMULAS = formulas(NAMES, max_leaves=4)

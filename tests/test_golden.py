@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from iolog.cli import main
+from iolog.cli import _build_parser, _dumps, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 NORMS = "(a, e)\n(b, e)\n"
@@ -72,6 +72,15 @@ def test_report_bytes(argv, golden, tmp_path):
     path = tmp_path / "norms.txt"
     path.write_text(NORMS, encoding="utf-8")
     assert run(argv, str(path)) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_report_writer_matches_json_dumps(argv, tmp_path):
+    path = tmp_path / "norms.txt"
+    path.write_text(NORMS, encoding="utf-8")
+    args = _build_parser().parse_args([str(path) if word == "NORMS" else word for word in argv])
+    report, _ = args.func(args)
+    assert _dumps(report) == json.dumps(report, indent=2)
 
 
 if __name__ == "__main__":

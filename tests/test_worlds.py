@@ -16,6 +16,7 @@ from conftest import (
 )
 from iolog import (
     Atom,
+    AtomLimitError,
     LiftedQuery,
     Norm,
     NormSet,
@@ -232,6 +233,17 @@ class TestFindCountermodel:
         good = lifted_verdict(TWO_NORMS, A, E, max_worlds=4)
         assert good.holds is True
         assert good.certificate is None
+
+    @pytest.mark.parametrize("budget", [24, 1])
+    def test_lifted_verdict_checks_the_atom_limit_before_searching(self, budget):
+        # Searching 7 atoms x 3 worlds first takes seconds; at budget 1 the search
+        # guard would trip too, and the atom limit is still the error reported.
+        norms = parse_norms("(d & e & f, g)")
+        started = time.monotonic()
+        with pytest.raises(AtomLimitError):
+            lifted_verdict(norms, parse_formula("a & b & c"), parse_formula("g | !g"),
+                           max_worlds=3, budget=budget, atom_limit=5)
+        assert time.monotonic() - started < 0.5
 
 
 def all_valuations_model(names):
