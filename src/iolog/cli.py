@@ -289,6 +289,15 @@ def _dumps(report: dict) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        return _run(args)
+    except MemoryError:
+        pass  # report once the handler has dropped the traceback and the tables it holds
+    print("error: out of memory (a lower --atom-limit bounds the truth tables)", file=sys.stderr)
+    return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
         report, code = args.func(args)
         structured = args.format == "structured"
         out = _dumps(report) if structured else "\n".join(args.text(report))

@@ -178,32 +178,46 @@ def find_countermodel(
 ) -> WorldModel | None:
     """First model (canonical order) falsifying the query, or None up to ``max_worlds``.
 
-    Models are enumerated with the world count ascending from 1 and, per
-    size, atom extensions running as binary counters (bit w = membership
-    of world w) with atoms in lexicographic order, the last atom cycling
-    fastest.  Sizes where world_count x atom_count would exceed the
-    budget raise :class:`SearchBudgetError` instead of silently reporting
-    absence.
+    Canonical order runs the world count up from 1 and, per size, compares
+    models by their atom extensions as binary numbers (bit w = membership
+    of world w), atoms in lexicographic order: the first model a binary
+    counter over the extensions would meet, the last atom cycling fastest.
+    Sizes where world_count x atom_count would exceed the budget raise
+    :class:`SearchBudgetError` instead of silently reporting absence.
 
-    The search stops after 2^n worlds for n query atoms, and absence beyond
-    that is exact: a lifted verdict depends only on the set of valuations the
-    worlds carry, so a larger countermodel repeats a valuation, and dropping
-    the repeats gives a smaller one, which comes first in canonical order.
+    The search visits sets of distinct valuations rather than models: per
+    size W, each of the C(2^n, W) sets of W valuations of the n query atoms.
+    A lifted verdict depends only on the set of valuations the worlds
+    carry, so a model repeating a valuation has the verdict of a smaller
+    one, which comes first.  At the first size with a countermodel every
+    countermodel therefore has distinct worlds: the least is the least
+    arrangement of some falsifying set.  A set's least arrangement lists its
+    valuations from highest to lowest, so the search takes the least of
+    those over the falsifying sets of that size.  For the same reason the
+    search stops after 2^n worlds, and absence beyond that is exact.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     names = _query_atoms(query)
     member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
-    for world_count in range(1, min(max_worlds, 2 ** len(names)) + 1):
+    points, bits = 2 ** len(names), range(len(names) - 1, -1, -1)  # atom i: bit n-1-i
+    for world_count in range(1, min(max_worlds, points) + 1):
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
-        full = (1 << world_count) - 1
-        for masks in itertools.product(range(full + 1), repeat=len(names)):
-            env = dict(zip(names, masks))
-            if not member(query.norms, query.input, query.goal, env, full):
-                worlds = range(world_count)
-                extension = {name: {w for w in worlds if m >> w & 1} for name, m in env.items()}
-                return WorldModel(world_count, extension)
+        full, last, least = (1 << world_count) - 1, world_count - 1, None
+        # Valuations run from highest to lowest over worlds 0, 1, ...; the masks of the
+        # first W-1 worlds are built once per prefix, the last world's bit once per set.
+        for prefix in itertools.combinations(range(points - 1, -1, -1), last):
+            base = [sum((v >> b & 1) << w for w, v in enumerate(prefix)) for b in bits]
+            for v in range(min(prefix, default=points) - 1, -1, -1):
+                env = {name: m | (v >> b & 1) << last for name, m, b in zip(names, base, bits)}
+                if not member(query.norms, query.input, query.goal, env, full):
+                    masks = tuple(env.values())
+                    least = masks if least is None else min(least, masks)
+        if least is not None:
+            worlds = range(world_count)
+            extension = {name: {w for w in worlds if m >> w & 1} for name, m in zip(names, least)}
+            return WorldModel(world_count, extension)
     return None
 
 

@@ -1,11 +1,16 @@
 """Command-line behaviour: exit codes, reports, environment, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import iolog
 import iolog.derivation
 import iolog.worlds
 from conftest import NESTINGS, TOO_DEEP, nested_text
@@ -138,6 +143,28 @@ class TestAtomLimit:
              "--atom-limit", "0"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["check", "naive"])
+    def test_tables_beyond_memory_exit_two(self, tmp_path, command):
+        """A limit far above the default lets a 37-atom query ask for 2^36-bit tables.
+        The child caps its own address space, so only it runs short, within 128 MiB."""
+        pytest.importorskip("resource")  # the child caps itself through it
+        limit = 128 << 20
+        path = tmp_path / "wide.txt"
+        path.write_text("(" + " & ".join(f"p{i}" for i in range(36)) + ", e)\n")
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from iolog.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = [command, "--norms", str(path), "--input", "p0", "--goal", "e", "--atom-limit", "64"]
+        env = {**os.environ, "PYTHONPATH": str(Path(iolog.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
 
 
 class TestNestingLimit:

@@ -1,14 +1,17 @@
 """How the engines' answers relate, checked from outside the kernel on random
-queries: semantic and derivation agree, the triple approximation is sound, and
-the naive unfolding validates every claim that holds (it is unsound, not
-incomplete)."""
+queries: semantic and derivation agree, the triple approximation is sound, the
+naive unfolding validates every claim that holds (it is unsound, not
+incomplete), and the lifted engine is the triple approximation once its world
+bound reaches every valuation, and weaker below that bound."""
 
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import formulas, norm_sets
 from iolog import (
     Norm,
     derive_verdict,
+    lifted_verdict,
     naive_unfold_valid,
     out1_member,
     out1_triple_approx,
@@ -35,3 +38,22 @@ def test_engine_envelope(norms, input, goal):
     if goal in triggered_heads(norms, input):
         assert naive_unfold_valid(norms, input, goal, "outpre")
 
+
+@settings(max_examples=150)
+@given(norm_sets(NAMES), formulas(NAMES, max_leaves=4), formulas(NAMES, max_leaves=4),
+       st.integers(1, 4))
+def test_triple_implies_lifted_at_every_world_bound(norms, input, goal, max_worlds):
+    if out1_triple_approx(norms, input, goal).holds:
+        assert lifted_verdict(norms, input, goal, max_worlds=max_worlds).holds
+
+
+THREE = NAMES[:3]
+
+
+@settings(max_examples=300)
+@given(norm_sets(THREE), formulas(THREE, max_leaves=4), formulas(THREE, max_leaves=4))
+def test_lifted_with_every_valuation_is_triple(norms, input, goal):
+    # 2^3 worlds carry every valuation of the query's atoms; the search stops at
+    # 2^n worlds when the query has fewer atoms, having seen every set of valuations.
+    lifted = lifted_verdict(norms, input, goal, max_worlds=2 ** len(THREE))
+    assert lifted.holds == out1_triple_approx(norms, input, goal).holds

@@ -15,11 +15,13 @@ from iolog import (
     Not,
     Or,
     is_tautology,
+    lifted_verdict,
     out1_member,
     out1_member_multi,
     out1_triple_approx,
     parse_formula,
     parse_norms,
+    render_world_model,
     source_ordered_heads,
     triggered_heads,
 )
@@ -132,6 +134,22 @@ class TestTripleApprox:
 
         assert out1_member(FOUR_HEADS, A, FOUR_CONJ).holds is True
         assert out1_triple_approx(FOUR_HEADS, A, FOUR_CONJ).holds is False
+
+    def test_four_heads_need_four_worlds_to_fail_lifted(self):
+        """A triple of heads is defeated only by a world where the fourth head alone
+        fails, so a lifted countermodel needs one world per triple: four."""
+        for max_worlds in (2, 3):
+            assert lifted_verdict(FOUR_HEADS, A, FOUR_CONJ, max_worlds=max_worlds).holds is True
+        verdict = lifted_verdict(FOUR_HEADS, A, FOUR_CONJ, max_worlds=4)
+        assert verdict.holds is False
+        assert render_world_model(verdict.certificate) == (
+            "worlds: w0 w1 w2 w3\n"
+            "a = {}\n"
+            "h1 = {w0, w1, w2}\n"
+            "h2 = {w0, w1, w3}\n"
+            "h3 = {w0, w2, w3}\n"
+            "h4 = {w1, w2, w3}"
+        )
 
     def test_tautology_disjunct_covers_empty_norm_set(self):
         assert out1_triple_approx(NormSet(), A, parse_formula("true")).holds is True
