@@ -292,7 +292,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run(args)
     except MemoryError:
         pass  # report once the handler has dropped the traceback and the tables it holds
-    print("error: out of memory (a lower --atom-limit bounds the truth tables)", file=sys.stderr)
+    if args.command == "countermodel":  # the search ignores --atom-limit
+        hint = "a lower --budget bounds the search"
+    else:
+        hint = "a lower --atom-limit bounds the truth tables"
+    print(f"error: out of memory ({hint})", file=sys.stderr)
     return 2
 
 

@@ -5,11 +5,10 @@ set, evaluated by the bit-mask kernel of :mod:`iolog.entail` with bit w
 standing for world w.  A lifted formula is valid in a model when it holds
 at every world.  Lifting makes nested entailment claims safe; the naive
 alternative, encoding "a entails s" as the Boolean implication a -> s, is
-classically valid where the entailment fails.  ``naive_unfold_valid``
-runs the same per-norm "fits" masks over every valuation instead, so the
-two differ only in where the quantifiers sit: lifted pre-output asks that
-some norm fit at every world, the naive one that at every valuation some
-norm fit.
+classically valid where the entailment fails.  It is the lifted encoding
+read in one-world models, so the two differ only in where the quantifiers
+sit: lifted pre-output asks that some norm fit at every world, the naive
+one that at every valuation some norm fit.
 
 The lifted output operation is the three-witness encoding (with a
 tautology disjunct for the no-triggered-norm case), matching the
@@ -20,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import or_
 from types import MappingProxyType
 from typing import Literal, Mapping
 
 from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
-from .formula import BOTTOM, Formula, _atom_names
+from .formula import Formula, _atom_names
 from .norms import NormSet
 from .output import Verdict, _query_formulas, triggered_heads
 
@@ -121,27 +119,35 @@ def lifted_valid(f: Formula, model: WorldModel) -> bool:
     return lifted_extension(f, model) == model.worlds
 
 
-def _fits(norms: NormSet, input: Formula, goal: Formula, env: Mapping[str, int], full: int):
-    """Per norm, lazily, the mask where it fits: its head agrees with the goal and its
-    body covers the input.  A body is skipped where its head agrees nowhere."""
-    goal, input = _truth_mask(goal, env, full), _truth_mask(input, env, full)
-    for n in norms:
-        agree = full ^ _truth_mask(n.head, env, full) ^ goal
-        yield agree and agree & (full ^ input | _truth_mask(n.body, env, full))
+def _masks(query: LiftedQuery, env: Mapping[str, int], full: int) -> tuple[int, list]:
+    """Where the claim can fail and, per norm, what the lifted test reads, each formula
+    evaluated once over ``full``'s points.  outpre can fail anywhere and reads where each
+    norm misfits; out1 fails where the goal does and reads (where the body misses, head)."""
+    goal, input = _truth_mask(query.goal, env, full), _truth_mask(query.input, env, full)
+    norms = [(input & ~_truth_mask(n.body, env, full), _truth_mask(n.head, env, full))
+             for n in query.norms]
+    if query.mode == "outpre":
+        return full, [head ^ goal | missed for missed, head in norms]
+    return full ^ goal, norms
 
 
-def _outpre_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) -> bool:
-    return full in _fits(norms, input, goal, env, full)  # some norm fits at every world
-
-
-def _out1_lifted(norms: NormSet, input: Formula, goal: Formula, env, full: int) -> bool:
-    if (goal := _truth_mask(goal, env, full)) == full:
-        return True
-    input = _truth_mask(input, env, full)
-    covering = (n for n in norms if not input & ~_truth_mask(n.body, env, full))
-    heads = {_truth_mask(n.head, env, full) for n in covering}
+def _holds(mode: Mode, masks: tuple[int, list], sel: int) -> bool:
+    """The lifted test in a model whose worlds carry exactly the points in ``sel``."""
+    fails, norms = masks[0] & sel, masks[1]
+    if mode == "outpre":  # some norm fits at every world
+        return any(not misfit & sel for misfit in norms)
+    heads = {head & fails for missed, head in norms if not missed & sel}  # of covering norms
     triples = itertools.combinations_with_replacement(heads, 3)
-    return any(not h & i & j & ~goal for h, i, j in triples)
+    return not fails or any(not h & i & j for h, i, j in triples)
+
+
+def _one_world_failures(mode: Mode, masks: tuple[int, list]) -> int:
+    """Mask of the points that falsify the claim as one-world models: where every norm
+    misfits (outpre), or the goal fails and each norm misses or has a true head (out1)."""
+    fails, norms = masks
+    for misfit in norms if mode == "outpre" else (missed | head for missed, head in norms):
+        fails &= misfit
+    return fails
 
 
 def outpre_member_lifted(
@@ -154,7 +160,8 @@ def outpre_member_lifted(
     witness must equal some norm body extensionally, so trying exactly the
     norm bodies is exhaustive.
     """
-    return _outpre_lifted(norms, input, goal, *_model_masks(model))
+    env, full = _model_masks(model)
+    return _holds("outpre", _masks(LiftedQuery(norms, input, goal, "outpre"), env, full), full)
 
 
 def out1_member_lifted(
@@ -163,11 +170,8 @@ def out1_member_lifted(
     """Lifted output membership, three-witness style: the goal is valid outright, or
     follows (validly, pointwise) from three pre-output members, repetition allowed:
     heads of norms whose body covers the input at every world."""
-    return _out1_lifted(norms, input, goal, *_model_masks(model))
-
-
-def _query_atoms(query: LiftedQuery) -> list[str]:
-    return sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
+    env, full = _model_masks(model)
+    return _holds("out1", _masks(LiftedQuery(norms, input, goal, "out1"), env, full), full)
 
 
 def find_countermodel(
@@ -185,40 +189,38 @@ def find_countermodel(
     Sizes where world_count x atom_count would exceed the budget raise
     :class:`SearchBudgetError` instead of silently reporting absence.
 
-    The search visits sets of distinct valuations rather than models: per
-    size W, each of the C(2^n, W) sets of W valuations of the n query atoms.
-    A lifted verdict depends only on the set of valuations the worlds
-    carry, so a model repeating a valuation has the verdict of a smaller
-    one, which comes first.  At the first size with a countermodel every
-    countermodel therefore has distinct worlds: the least is the least
-    arrangement of some falsifying set.  A set's least arrangement lists its
-    valuations from highest to lowest, so the search takes the least of
-    those over the falsifying sets of that size.  For the same reason the
-    search stops after 2^n worlds, and absence beyond that is exact.
+    A lifted verdict depends only on the set of valuations the worlds carry,
+    so a model repeating one has the verdict of a smaller model, which comes
+    first.  The search tests sets of distinct valuations over masks of all 2^n
+    valuations of the n query atoms: one world is the naive unfolding, and at
+    W worlds it takes the least arrangement (valuations from highest to
+    lowest) of a falsifying set.  Absence past 2^n worlds is exact.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    names = _query_atoms(query)
-    member = _outpre_lifted if query.mode == "outpre" else _out1_lifted
-    points, bits = 2 ** len(names), range(len(names) - 1, -1, -1)  # atom i: bit n-1-i
-    for world_count in range(1, min(max_worlds, points) + 1):
+    names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
+    if len(names) > budget:  # the one-world guard, before any table is built
+        raise SearchBudgetError(1, len(names), budget)
+    env, full = _valuation_masks(names, len(names))
+    masks, columns = _masks(query, env, full), [env[name] for name in names]
+
+    def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # per atom, its world mask
+        return tuple(sum((c >> v & 1) << w for w, v in enumerate(chosen)) for c in columns)
+
+    fails = _one_world_failures(query.mode, masks)
+    least = ((fails & -fails).bit_length() - 1,) if fails else None  # the lowest valuation
+    world_count = 1
+    while least is None and world_count < min(max_worlds, full.bit_length()):
+        world_count += 1
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
-        full, last, least = (1 << world_count) - 1, world_count - 1, None
-        # Valuations run from highest to lowest over worlds 0, 1, ...; the masks of the
-        # first W-1 worlds are built once per prefix, the last world's bit once per set.
-        for prefix in itertools.combinations(range(points - 1, -1, -1), last):
-            base = [sum((v >> b & 1) << w for w, v in enumerate(prefix)) for b in bits]
-            for v in range(min(prefix, default=points) - 1, -1, -1):
-                env = {name: m | (v >> b & 1) << last for name, m, b in zip(names, base, bits)}
-                if not member(query.norms, query.input, query.goal, env, full):
-                    masks = tuple(env.values())
-                    least = masks if least is None else min(least, masks)
-        if least is not None:
-            worlds = range(world_count)
-            extension = {name: {w for w in worlds if m >> w & 1} for name, m in zip(names, least)}
-            return WorldModel(world_count, extension)
-    return None
+        sets = itertools.combinations(range(full.bit_length() - 1, -1, -1), world_count)
+        falsifying = (c for c in sets if not _holds(query.mode, masks, sum(1 << v for v in c)))
+        least = min(falsifying, key=arrangement, default=None)
+    if least is None:
+        return None
+    extension = {name: {w for w, v in enumerate(least) if env[name] >> v & 1} for name in names}
+    return WorldModel(len(least), extension)
 
 
 def lifted_verdict(
@@ -256,12 +258,10 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    env, full = _valuation_masks(_query_atoms(LiftedQuery(norms, input, goal, mode)), atom_limit)
-    if mode == "outpre":  # at every valuation some norm fits
-        return full in itertools.accumulate(_fits(norms, input, goal, env, full), or_)
-    # At every valuation the goal holds, or some norm's body covers the input and its head fails.
-    fail = _fits(norms, input, BOTTOM, env, full)
-    return full in itertools.accumulate(fail, or_, initial=_truth_mask(goal, env, full))
+    query = LiftedQuery(norms, input, goal, mode)
+    names = sorted(_atom_names(_query_formulas(norms, input, goal)))
+    env, full = _valuation_masks(names, atom_limit)
+    return not _one_world_failures(mode, _masks(query, env, full))
 
 
 def render_world_model(model: WorldModel) -> str:

@@ -146,25 +146,40 @@ class TestAtomLimit:
 
     @pytest.mark.parametrize("command", ["check", "naive"])
     def test_tables_beyond_memory_exit_two(self, tmp_path, command):
-        """A limit far above the default lets a 37-atom query ask for 2^36-bit tables.
-        The child caps its own address space, so only it runs short, within 128 MiB."""
-        pytest.importorskip("resource")  # the child caps itself through it
-        limit = 128 << 20
-        path = tmp_path / "wide.txt"
-        path.write_text("(" + " & ".join(f"p{i}" for i in range(36)) + ", e)\n")
-        script = (
-            "import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from iolog.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        argv = [command, "--norms", str(path), "--input", "p0", "--goal", "e", "--atom-limit", "64"]
-        env = {**os.environ, "PYTHONPATH": str(Path(iolog.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
-        )
+        """A limit far above the default lets a 37-atom query ask for 2^36-bit tables."""
+        argv = [command, "--input", "p0", "--goal", "e", "--atom-limit", "64"]
+        done = run_in_128_mib(tmp_path, 36, argv)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+        assert "--atom-limit" in done.stderr
+
+    def test_search_beyond_memory_names_the_budget(self, tmp_path):
+        """A raised budget lets a 28-atom search ask for 2^28-bit tables at one world; the
+        search ignores --atom-limit, so the line names --budget."""
+        argv = ["countermodel", "--input", "p0", "--goal", "e", "--budget", "28", "--max-worlds", "1"]
+        done = run_in_128_mib(tmp_path, 27, argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: out of memory (a lower --budget bounds the search)\n"
+
+
+def run_in_128_mib(tmp_path, atoms: int, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI on the norm file ``(p0 & ... & p<atoms-1>, e)`` in a child that caps its own
+    address space at 128 MiB, so only the child runs short of memory."""
+    pytest.importorskip("resource")  # the child caps itself through it
+    limit = 128 << 20
+    path = tmp_path / "wide.txt"
+    path.write_text("(" + " & ".join(f"p{i}" for i in range(atoms)) + ", e)\n")
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from iolog.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(iolog.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, argv[0], "--norms", str(path), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestNestingLimit:

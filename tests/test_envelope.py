@@ -1,16 +1,19 @@
 """How the engines' answers relate, checked from outside the kernel on random
 queries: semantic and derivation agree, the triple approximation is sound, the
 naive unfolding validates every claim that holds (it is unsound, not
-incomplete), and the lifted engine is the triple approximation once its world
-bound reaches every valuation, and weaker below that bound."""
+incomplete) and is the lifted encoding read in one-world models, and the lifted
+engine is the triple approximation once its world bound reaches every
+valuation, and weaker below that bound."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import formulas, norm_sets
 from iolog import (
+    LiftedQuery,
     Norm,
     derive_verdict,
+    find_countermodel,
     lifted_verdict,
     naive_unfold_valid,
     out1_member,
@@ -37,6 +40,14 @@ def test_engine_envelope(norms, input, goal):
         assert naive_unfold_valid(norms, input, goal, "out1")
     if goal in triggered_heads(norms, input):
         assert naive_unfold_valid(norms, input, goal, "outpre")
+
+
+@settings(max_examples=300)
+@given(norm_sets(NAMES), formulas(NAMES, max_leaves=4), formulas(NAMES, max_leaves=4),
+       st.sampled_from(("outpre", "out1")))
+def test_naive_is_lifted_in_one_world_models(norms, input, goal, mode):
+    one_world = find_countermodel(LiftedQuery(norms, input, goal, mode), 1)
+    assert naive_unfold_valid(norms, input, goal, mode) == (one_world is None)
 
 
 @settings(max_examples=150)

@@ -134,6 +134,16 @@ class TestFindCountermodel:
         query = LiftedQuery(norms, input, goal, mode)
         assert find_countermodel(query, max_worlds) == walk_find_countermodel(query, max_worlds)
 
+    def test_falsifying_sets_compare_by_their_arranged_masks(self):
+        # {a & b, neither} and {a, b} both falsify at two worlds and both put a in w0;
+        # masks compare as binary numbers, bit w = world w, so b = {w0} (1) comes
+        # before b = {w1} (2).
+        norms = parse_norms("(!c, b)\n(c, true)\n(true, !b)")
+        query = LiftedQuery(norms, Atom("a"), TOP, "outpre")
+        model = find_countermodel(query, 2)
+        assert model == WorldModel(2, {"a": {0}, "b": {0}, "c": set()})
+        assert model == walk_find_countermodel(query, 2)
+
     def test_no_norms_refute_a_non_tautological_goal_at_one_world(self):
         query = LiftedQuery(NormSet(), Atom("a"), Atom("b"), "out1")
         assert find_countermodel(query, 3) == walk_find_countermodel(query, 3)

@@ -166,6 +166,37 @@ class TestOut1Lifted:
         assert out1_member_lifted(NormSet(), A, parse_formula("true"), SPLIT) is True
 
 
+class TestWorldSetInvariance:
+    """A lifted verdict depends only on the set of valuations the worlds carry; the
+    countermodel search rests on this."""
+
+    @pytest.mark.parametrize("member", [outpre_member_lifted, out1_member_lifted])
+    def test_deduplicating_and_permuting_worlds_keeps_the_verdict(self, member):
+        rng = random.Random(107)
+        for _ in range(200):
+            ns = random_norm_set(rng, depth=2)
+            a, x = random_formula(rng, depth=2), random_formula(rng, depth=2)
+            # Five worlds over three atoms' eight valuations: repeats are common.
+            model = WorldModel(5, {n: {w for w in range(5) if rng.random() < 0.5} for n in "abc"})
+            carried = {tuple(w in model.extension[n] for n in "abc") for w in model.worlds}
+            distinct = rng.sample(sorted(carried), len(carried))
+            again = WorldModel(
+                len(distinct),
+                {n: {w for w, v in enumerate(distinct) if v[k]} for k, n in enumerate("abc")},
+            )
+            assert member(ns, a, x, again) == member(ns, a, x, model)
+
+    @pytest.mark.parametrize("member", [outpre_member_lifted, out1_member_lifted])
+    def test_an_unmapped_query_atom_is_an_error_in_both_modes(self, member):
+        # Every formula of the query is evaluated, the body z included, though in
+        # pre-output the head a already disagrees with the goal !a at the one world.
+        from iolog import UnboundAtomError
+
+        with pytest.raises(UnboundAtomError) as err:
+            member(parse_norms("(z, a)"), A, parse_formula("!a"), WorldModel(1, {"a": {0}}))
+        assert err.value.atom == "z"
+
+
 class TestFindCountermodel:
     def test_disjunctive_outpre_query_has_canonical_two_world_model(self):
         query = LiftedQuery(TWO_NORMS, Or(A, B), E, "outpre")
