@@ -17,25 +17,17 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Sequence
 
-from . import reference
-from .derivation import _derivation_lines, derivation_to_dict, derive_verdict
-from .entail import DEFAULT_ATOM_LIMIT, AtomLimitError, UnboundAtomError
+# Only the layers every subcommand uses load here; the others are imported
+# where a subcommand or engine needs them, so a run loads no layer it does not use.
+from .entail import (
+    DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, AtomLimitError, SearchBudgetError, UnboundAtomError
+)
 from .formula import Formula, FormulaSyntaxError, parse_formula, print_formula
 from .norms import NormSet, NormSyntaxError, load_norms, render_norm
 from .output import out1_member, out1_triple_approx, source_ordered_heads, triggered_heads
-from .worlds import (
-    DEFAULT_SEARCH_BUDGET,
-    LiftedQuery,
-    SearchBudgetError,
-    WorldModel,
-    _world_model_lines,
-    find_countermodel,
-    lifted_verdict,
-    naive_unfold_valid,
-    world_model_to_dict,
-)
 
 __all__ = ["main"]
 
@@ -76,16 +68,22 @@ def _query_doc(norms: NormSet, input: Formula, goal: Formula, operation: str) ->
     }
 
 
+def _engine(name: str, max_worlds: int):
+    """``check --engine name``'s decider, and the report key and writer of its certificate."""
+    if name == "derivation":
+        from .derivation import derivation_to_dict, derive_verdict
+        return derive_verdict, "certificate", derivation_to_dict
+    if name == "lifted":
+        from .worlds import lifted_verdict, world_model_to_dict
+        return partial(lifted_verdict, max_worlds=max_worlds), "countermodel", world_model_to_dict
+    return {"semantic": out1_member, "triple": out1_triple_approx}[name], None, None
+
+
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
     norms, input, goal = _query(args)
-    engines = dict(
-        semantic=out1_member, triple=out1_triple_approx, derivation=derive_verdict,
-        lifted=lambda *query, atom_limit: lifted_verdict(
-            *query, max_worlds=_positive(args.max_worlds, "--max-worlds"), atom_limit=atom_limit
-        ),
-    )
-    verdict = engines[args.engine](norms, input, goal, atom_limit=atom_limit)
+    decide, key, write = _engine(args.engine, _positive(args.max_worlds, "--max-worlds"))
+    verdict = decide(norms, input, goal, atom_limit=atom_limit)
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),
@@ -93,10 +91,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         "holds": verdict.holds,
         "triggered": [print_formula(h) for h in source_ordered_heads(norms, verdict.triggered)],
     }
-    if verdict.engine == "derivation" and verdict.certificate is not None:
-        report["certificate"] = derivation_to_dict(verdict.certificate)
-    if isinstance(verdict.certificate, WorldModel):
-        report["countermodel"] = world_model_to_dict(verdict.certificate)
+    if key and verdict.certificate is not None:
+        report[key] = write(verdict.certificate)
     return report, 0 if verdict.holds else 1
 
 
@@ -111,13 +107,16 @@ def _check_text(report: dict) -> list[str]:
         f"holds: {'yes' if report['holds'] else 'no'}",
     ]
     if "certificate" in report:
+        from .derivation import _derivation_lines
         lines += ["certificate:", *_derivation_lines(report["certificate"])]
     if "countermodel" in report:
+        from .worlds import _world_model_lines
         lines += ["countermodel:", *_world_model_lines(report["countermodel"])]
     return lines
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
+    from .worlds import LiftedQuery, find_countermodel, world_model_to_dict
     _atom_limit(args)  # validated for parity; the lifted search needs no limit
     norms, input, goal = _query(args)
     max_worlds = _positive(args.max_worlds, "--max-worlds")
@@ -139,11 +138,13 @@ def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
 def _countermodel_text(report: dict) -> list[str]:
     if "countermodel" not in report:
         return [f"no countermodel up to {report['max_worlds']} worlds"]
+    from .worlds import _world_model_lines
     model = report["countermodel"]
     return [f"countermodel found at {model['world_count']} worlds:", *_world_model_lines(model)]
 
 
 def _cmd_naive(args: argparse.Namespace) -> tuple[dict, int]:
+    from .worlds import naive_unfold_valid
     atom_limit = _atom_limit(args)
     norms, input, goal = _query(args)
 
@@ -174,9 +175,10 @@ def _naive_text(report: dict) -> list[str]:
 
 
 def _cmd_examples(args: argparse.Namespace) -> tuple[dict, int]:
+    from .reference import run_reference_matrix
     atom_limit = _atom_limit(args)
     max_worlds = _positive(args.max_worlds, "--max-worlds")
-    rows = reference.run_reference_matrix(max_worlds=max_worlds, atom_limit=atom_limit)
+    rows = run_reference_matrix(max_worlds=max_worlds, atom_limit=atom_limit)
     mismatches = sum(not row.ok for row in rows)
     report = {"rows": [{**asdict(row), "ok": row.ok} for row in rows], "mismatches": mismatches}
     return report, 1 if mismatches else 0

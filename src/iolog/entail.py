@@ -5,7 +5,8 @@ formula is evaluated over a whole universe of points at once: an integer
 whose bit i says whether it holds at point i (Knuth, TAOCP 4A, 7.1).
 Entailment's universe is every valuation of the atoms involved, guarded
 by a hard atom limit (default 16, a 65536-bit table); :mod:`iolog.worlds`
-uses the worlds of a model; an engine call over few atoms shares one set of
+uses the worlds of a model, and its countermodel search is guarded by the
+search budget defined here; an engine call over few atoms shares one set of
 tables among its entailments.  All functions are pure and thread-safe.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_ATOM_LIMIT = 16
+DEFAULT_SEARCH_BUDGET = 24
 
 Valuation = Mapping[str, bool]
 
@@ -46,6 +48,19 @@ class AtomLimitError(ValueError):
         super().__init__(f"query involves {count} atoms, exceeding the atom limit of {limit}")
         self.count = count
         self.limit = limit
+
+
+class SearchBudgetError(RuntimeError):
+    """The countermodel search would exceed its enumeration budget."""
+
+    def __init__(self, world_count: int, atom_count: int, budget: int):
+        super().__init__(
+            f"countermodel search budget exceeded: {world_count} worlds x {atom_count} atoms "
+            f"> {budget} (raise the budget to search anyway)"
+        )
+        self.world_count = world_count
+        self.atom_count = atom_count
+        self.budget = budget
 
 
 def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:

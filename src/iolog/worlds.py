@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Literal, Mapping
 
-from .entail import DEFAULT_ATOM_LIMIT, _truth_mask, _valuation_masks
+# The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
+from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
+from .entail import _truth_mask, _valuation_masks
 from .formula import Formula, _atom_names
 from .norms import NormSet
 from .output import Verdict, _query_formulas, triggered_heads
@@ -43,22 +45,7 @@ __all__ = [
     "world_model_to_dict",
 ]
 
-DEFAULT_SEARCH_BUDGET = 24
-
 Mode = Literal["outpre", "out1"]
-
-
-class SearchBudgetError(RuntimeError):
-    """The countermodel search would exceed its enumeration budget."""
-
-    def __init__(self, world_count: int, atom_count: int, budget: int):
-        super().__init__(
-            f"countermodel search budget exceeded: {world_count} worlds x {atom_count} atoms "
-            f"> {budget} (raise the budget to search anyway)"
-        )
-        self.world_count = world_count
-        self.atom_count = atom_count
-        self.budget = budget
 
 
 @dataclass(frozen=True)

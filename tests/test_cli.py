@@ -73,6 +73,16 @@ class TestCheck:
         assert "countermodel:" in out
         assert "worlds: w0 w1" in out
 
+    @pytest.mark.parametrize("engine", ["semantic", "derivation", "triple", "lifted"])
+    @pytest.mark.parametrize("max_worlds", ["0", "-3"])
+    def test_nonpositive_max_worlds_rejected_for_every_engine(
+        self, norms_file, engine, max_worlds, capsys
+    ):
+        argv = ["check", "--norms", norms_file, "--input", "a", "--goal", "e",
+                "--engine", engine, "--max-worlds", max_worlds]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --max-worlds must be positive\n")
+
     def test_every_engine_agrees_on_the_two_queries(self, norms_file):
         for engine in ("semantic", "derivation", "triple", "lifted"):
             assert (
@@ -408,3 +418,42 @@ class TestDeterminism:
             second = run(argv)
             assert first == second
             assert first[1]
+
+
+ALWAYS_LOADED = {"iolog", "iolog.cli", "iolog.formula", "iolog.norms", "iolog.entail", "iolog.output"}
+WITH_WORLDS = ALWAYS_LOADED | {"iolog.worlds"}
+ALL_MODULES = WITH_WORLDS | {"iolog.derivation", "iolog.reference"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["check", "--engine", "semantic"], ALWAYS_LOADED),
+        (["check", "--engine", "triple", "--format", "structured"], ALWAYS_LOADED),
+        (["check", "--engine", "derivation"], ALWAYS_LOADED | {"iolog.derivation"}),
+        (["check", "--engine", "lifted", "--format", "structured"], WITH_WORLDS),
+        (["countermodel", "--mode", "out1"], WITH_WORLDS),
+        (["countermodel", "--mode", "outpre", "--format", "structured"], WITH_WORLDS),
+        (["naive", "--mode", "out1", "--format", "structured"], WITH_WORLDS),
+        (["naive", "--mode", "outpre"], WITH_WORLDS),
+        (["examples"], ALL_MODULES),
+        (["examples", "--format", "structured"], ALL_MODULES),
+    ],
+)
+def test_each_subcommand_loads_only_its_layers(norms_file, argv, loaded):
+    """A fresh process that runs one command holds exactly the iolog modules it uses."""
+    if argv[0] != "examples":
+        argv = [argv[0], "--norms", norms_file, "--input", "a | b", "--goal", "e", *argv[1:]]
+    script = (
+        "import sys\n"
+        "from iolog.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'iolog'), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(iolog.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == f"{sorted(loaded)}\n"
