@@ -83,7 +83,12 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     atom_limit = _atom_limit(args)
     norms, input, goal = _query(args)
     decide, key, write = _engine(args.engine, _positive(args.max_worlds, "--max-worlds"))
-    verdict = decide(norms, input, goal, atom_limit=atom_limit)
+    try:
+        verdict = decide(norms, input, goal, atom_limit=atom_limit)
+    except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
+        fits = exc.budget // exc.atom_count
+        hint = f"--max-worlds {fits} keeps within it" if fits else "countermodel --budget raises it"
+        raise CliError(f"{str(exc).rpartition(' (')[0]} ({hint})") from None
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),
@@ -264,30 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` from an explicit stack, so a report of any depth
-    prints; a report holds dicts with string keys, lists, strings, ints, bools and None."""
-    parts, stack = [], [(report, 0)]
-    while stack:
-        if isinstance(item := stack.pop(), str):  # the text between two values
-            parts.append(item)
-            continue
-        value, depth = item
-        if not value or not isinstance(value, (dict, list)):
-            parts.append(json.dumps(value))
-            continue
-        pad = "\n" + "  " * depth
-        if isinstance(value, dict):
-            opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in value.items()]
-        else:
-            opener, closer, items = "[", "]", [("", v) for v in value]
-        parts.append(opener)
-        stack.append(pad + closer)
-        for i, (key, v) in reversed(list(enumerate(items))):
-            stack += [(v, depth + 1), ("," if i else "") + pad + "  " + key]
-    return "".join(parts)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -306,7 +287,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         report, code = args.func(args)
         structured = args.format == "structured"
-        out = _dumps(report) if structured else "\n".join(args.text(report))
+        out = json.dumps(report, indent=2) if structured else "\n".join(args.text(report))
     except (
         CliError,
         FormulaSyntaxError,

@@ -277,18 +277,20 @@ def render_derivation(d: Derivation) -> str:
 
 
 def _derivation_lines(record: dict) -> list[str]:
-    """The text lines of a structured derivation record."""
-    lines, stack = [], [(record, 0)]
+    """The text lines of a structured derivation record, from the root down."""
+    nodes = record["nodes"]
+    lines, stack = [], [(nodes[-1], 0)]
     while stack:
         r, depth = stack.pop()
         pair = f"({r['conclusion_body']}, {r['conclusion_head']})"
         lines.append("  " * depth + f"{r['rule']} ⊢ {pair}")
-        stack += [(child, depth + 1) for child in reversed(r["children"])]
+        stack += [(nodes[premise], depth + 1) for premise in reversed(r["premises"])]
     return lines
 
 
 def derivation_to_dict(d: Derivation) -> dict:
-    """Structured rendering: nested records with rule, concluded pair, and children."""
+    """Structured rendering: ``{"nodes": [record, ...]}`` in reverse pre-order, so each node
+    comes after its premises and the root is last; a record cites its premises by index."""
     order, concluded = _walk(d)
     records: list[dict] = []
     for node, parent, _ in order:
@@ -301,40 +303,37 @@ def derivation_to_dict(d: Derivation) -> dict:
         }
         if param is not None:
             record["param"] = print_formula(getattr(node, param))
-        record["children"] = []
-        if parent >= 0:
-            records[parent]["children"].append(record)
+        record["premises"] = []
+        if parent >= 0:  # reversed, pre-order position p is index len(order) - 1 - p
+            records[parent]["premises"].append(len(order) - 1 - len(records))
         records.append(record)
-    return records[0]
+    return {"nodes": records[::-1]}
 
 
 def derivation_from_dict(record: dict) -> Derivation:
     """Rebuild a derivation from its structured rendering; malformed records raise ValueError.
 
-    Any record :func:`derivation_to_dict` writes reads back: one iterative pass
-    builds every premise before the node that uses it.
+    One forward pass builds each node from premises built before it, so a record of any size
+    reads back.  Only the flat form reads: a nested record has no ``nodes``.
     """
     try:
-        order, stack = [], [record]  # pre-order, a node before its premises, left before right
-        while stack:
-            r = stack.pop()
-            children = list(r.get("children", ()))
-            order.append((r["rule"], r, len(children)))
-            stack += reversed(children)
         built: list[Derivation] = []
-        for rule, r, arity in reversed(order):
-            cls = next((c for c, entry in _RULES.items() if entry[0] == rule), None)
+        for r in record["nodes"]:
+            cls = next((c for c, entry in _RULES.items() if entry[0] == r["rule"]), None)
             if cls is None:
-                raise ValueError(f"unknown rule tag {rule!r}")
-            # The premises are on top of ``built``, left first; each rule's constructor
-            # takes exactly its premises, then its parameter or, for AX, its norm.
-            args = [built.pop() for _ in range(arity)]
+                raise ValueError(f"unknown rule tag {r['rule']!r}")
+            # A premise is the index (an int, not a bool) of a node built already.  Each rule's
+            # constructor takes its premises, left first, then its parameter or, for AX, its norm.
+            premises = r["premises"]
+            args = [built[p] for p in premises if type(p) is int and 0 <= p < len(built)]
+            if type(premises) is not list or not len(args) == len(premises) == len(_RULES[cls][1]):
+                raise ValueError(f"node {len(built)} ({r['rule']}) cites premises {premises!r}")
             if cls is AxiomLeaf:
                 body, head = r["conclusion_body"], r["conclusion_head"]
                 args.append(Norm(parse_formula(body), parse_formula(head)))
             elif _RULES[cls][2] is not None:
                 args.append(parse_formula(r["param"]))
             built.append(cls(*args))
-    except (KeyError, TypeError, AttributeError) as exc:
+        return built[-1]
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed derivation record: {exc!r}") from None
-    return built[0]

@@ -313,17 +313,26 @@ def recursive_render_derivation(d) -> str:
 
 
 def recursive_derivation_to_dict(d) -> dict:
-    """Nested records, by recursion, each node's conclusion recomputed."""
-    pair = recursive_conclusion(d)
-    record = {
-        "rule": _TAGS[type(d)],
-        "conclusion_body": print_formula(pair.body),
-        "conclusion_head": print_formula(pair.head),
-    }
-    if isinstance(d, (SO, WI)):
-        record["param"] = print_formula(d.output if isinstance(d, SO) else d.input)
-    record["children"] = [recursive_derivation_to_dict(child) for child in _premises(d)]
-    return record
+    """Flat records, by recursion, each node's conclusion recomputed.  A node is written after
+    its premises, the right one first, so the nodes run in reverse pre-order."""
+    nodes = []
+
+    def write(node) -> int:
+        premises = [write(child) for child in reversed(_premises(node))][::-1]
+        pair = recursive_conclusion(node)
+        record = {
+            "rule": _TAGS[type(node)],
+            "conclusion_body": print_formula(pair.body),
+            "conclusion_head": print_formula(pair.head),
+        }
+        if isinstance(node, (SO, WI)):
+            record["param"] = print_formula(node.output if isinstance(node, SO) else node.input)
+        record["premises"] = premises
+        nodes.append(record)
+        return len(nodes) - 1
+
+    write(d)
+    return {"nodes": nodes}
 
 
 _IMPLIES, _OR, _AND, _UNARY = 1, 2, 3, 4

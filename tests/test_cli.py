@@ -6,16 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 import iolog
 import iolog.derivation
 import iolog.worlds
 from conftest import NESTINGS, TOO_DEEP, nested_text
-from iolog import SO, TOP, WI, TopIntro
-from iolog.cli import _dumps, main
+from iolog import SO, TOP, WI, Norm, TopIntro
+from iolog.cli import main
 from iolog.formula import MAX_DEPTH
 
 
@@ -112,7 +110,8 @@ class TestCheck:
         assert doc["engine"] == "derivation"
         assert doc["holds"] is True
         assert doc["triggered"] == ["e"]
-        assert doc["certificate"]["rule"] == "SO"
+        assert [r["rule"] for r in doc["certificate"]["nodes"]] == ["AX", "WI", "SO"]
+        assert [r["premises"] for r in doc["certificate"]["nodes"]] == [[], [0], [1]]
 
 
 class TestAtomLimit:
@@ -206,9 +205,9 @@ class TestNestingLimit:
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
         assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
 
-    def test_large_certificate_renders_structured(self, tmp_path, capsys):
-        """600 triggered norms conjoin into a certificate 600 records deep, which the
-        report writer prints without recursion."""
+    def test_large_certificate_renders_structured_and_reads_back(self, tmp_path, capsys):
+        """600 triggered norms conjoin 599 times; the flat certificate stays two levels
+        deep, so the standard json module writes it and reads it back."""
         path = tmp_path / "many.txt"
         path.write_text("(a, e)\n" * 600)
         argv = ["check", "--norms", str(path), "--input", "a", "--goal", "e",
@@ -216,8 +215,13 @@ class TestNestingLimit:
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert err == ""
+        certificate = iolog.derivation.derivation_from_dict(json.loads(out)["certificate"])
+        assert len(out.encode()) < 2 << 20
         assert out.count('"rule": "AND"') == 599
         assert out.count('"rule": "WI"') == out.count('"rule": "AX"') == 600
+        norms = iolog.parse_norms(path.read_text())
+        goal = Norm(iolog.Atom("a"), iolog.Atom("e"))
+        assert iolog.derivation.verify_derivation(norms, certificate, goal) is None
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_large_certificate_renders_as_text(self, tmp_path, n, capsys):
@@ -246,34 +250,8 @@ class TestNestingLimit:
                 "--engine", "derivation", "--format", "structured"]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["certificate"]["rule"] == "SO"
+        assert doc["certificate"]["nodes"][-1]["rule"] == "SO"
         assert iolog.derivation.derivation_from_dict(doc["certificate"]) is not None
-
-
-SCALARS = st.none() | st.booleans() | st.integers() | st.text()
-REPORTS = st.dictionaries(
-    st.text(),
-    st.recursive(
-        SCALARS,
-        lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(), sub, max_size=4),
-        max_leaves=40,
-    ),
-)
-
-
-class TestReportWriter:
-    """The writer of ``--format structured`` against ``json.dumps(report, indent=2)``."""
-
-    @settings(max_examples=500)
-    @given(REPORTS)
-    def test_matches_json_dumps(self, report):
-        assert _dumps(report) == json.dumps(report, indent=2)
-
-    def test_matches_json_dumps_on_a_deep_report(self):
-        report = {"rule": "TOP", "children": []}
-        for i in range(300):  # 600 levels: deep, yet within json.dumps's recursion limit
-            report = {"rule": "AND", "n": i, "ok": i % 2 == 0, "children": [{}, report, []]}
-        assert _dumps(report) == json.dumps(report, indent=2)
 
 
 class TestCountermodel:
@@ -305,6 +283,31 @@ class TestCountermodel:
         )
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_error_names_each_commands_remedy(self, tmp_path, capsys):
+        """``countermodel`` has --budget; ``check`` has not, so it names the --max-worlds
+        that keeps 7 atoms within the default budget of 24."""
+        path = tmp_path / "seven.txt"
+        path.write_text("(a & b & c, d & e & f & g)\n", encoding="utf-8")
+        query = ["--norms", str(path), "--input", "a & b & c", "--goal", "d"]
+        exceeded = "error: countermodel search budget exceeded: 4 worlds x 7 atoms > 24"
+        assert main(["countermodel", *query]) == 2
+        assert capsys.readouterr() == ("", f"{exceeded} (raise the budget to search anyway)\n")
+        assert main(["check", *query, "--engine", "lifted"]) == 2
+        assert capsys.readouterr() == ("", f"{exceeded} (--max-worlds 3 keeps within it)\n")
+        assert main(["check", *query, "--engine", "lifted", "--max-worlds", "3"]) == 0
+
+    def test_check_names_countermodel_when_one_world_exceeds_the_budget(self, tmp_path, capsys):
+        body = " & ".join(f"x{i}" for i in range(25))
+        path = tmp_path / "wide.txt"
+        path.write_text(f"({body}, e)\n", encoding="utf-8")
+        argv = ["check", "--norms", str(path), "--input", body, "--goal", "e",
+                "--engine", "lifted", "--atom-limit", "32"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: countermodel search budget exceeded: 1 worlds x 26 atoms > 24 "
+            "(countermodel --budget raises it)\n"
+        )
 
     def test_budget_below_one_is_a_config_error(self, norms_file, capsys):
         for budget in ("0", "-5"):

@@ -208,15 +208,25 @@ class TestRendering:
         ]
 
 
+TOP_NODE = {"rule": "TOP", "conclusion_body": "true", "conclusion_head": "true", "premises": []}
+
+
+def wi_node(*premises) -> dict:
+    return {"rule": "WI", "conclusion_body": "a", "conclusion_head": "true", "param": "a",
+            "premises": list(premises)}
+
+
 class TestStructuredForm:
     def test_record_fields(self):
         d = SO(WI(AxiomLeaf(Norm(A, E)), And(A, B)), Or(E, C))
-        record = derivation_to_dict(d)
-        assert record["rule"] == "SO"
-        assert record["conclusion_body"] == "a & b"
-        assert record["conclusion_head"] == "e | c"
-        assert record["param"] == "e | c"
-        assert len(record["children"]) == 1
+        nodes = derivation_to_dict(d)["nodes"]
+        assert [r["rule"] for r in nodes] == ["AX", "WI", "SO"]
+        root = nodes[-1]
+        assert root["conclusion_body"] == "a & b"
+        assert root["conclusion_head"] == "e | c"
+        assert root["param"] == "e | c"
+        assert root["premises"] == [1]
+        assert "param" not in nodes[0]
 
     def test_round_trip_preserves_tree_and_conclusion(self):
         rng = random.Random(59)
@@ -235,25 +245,72 @@ class TestStructuredForm:
         assert seen > 0
 
     def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown rule tag 'XX'"):
+            derivation_from_dict({"nodes": [{"rule": "XX", "premises": []}]})
+
+    @pytest.mark.parametrize(
+        "premise", [1, 2, -1, True, False, 0.0, "0", None], ids=lambda p: f"{p!r}"
+    )
+    def test_a_premise_must_index_a_node_before_it(self, premise):
+        """Index 1 is the citing node itself, 2 comes after it, -1 would wrap round and a
+        bool would read as 0 or 1: only the int 0 indexes a node built before node 1."""
+        record = {"nodes": [TOP_NODE, wi_node(premise), {**TOP_NODE}]}
         with pytest.raises(ValueError):
-            derivation_from_dict({"rule": "XX", "children": []})
+            derivation_from_dict(record)
+        record["nodes"][1] = wi_node(0)
+        assert derivation_from_dict(record) == TopIntro()
+
+    @pytest.mark.parametrize("premises", ["", {}, (), 0, None, "0"], ids=repr)
+    def test_premises_must_be_a_list(self, premises):
+        """An empty string, dict or tuple would pass for TOP on its arity alone."""
+        with pytest.raises(ValueError):
+            derivation_from_dict({"nodes": [{**TOP_NODE, "premises": premises}]})
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {**TOP_NODE, "premises": [0]},
+            wi_node(),
+            wi_node(0, 0),
+            {"rule": "SO", "param": "e", "premises": []},
+            {"rule": "AND", "premises": [0]},
+            {"rule": "AND", "premises": [0, 0, 0]},
+        ],
+        ids=["TOP/1", "WI/0", "WI/2", "SO/0", "AND/1", "AND/3"],
+    )
+    def test_wrong_arity_rejected(self, node):
+        with pytest.raises(ValueError, match="cites premises"):
+            derivation_from_dict({"nodes": [TOP_NODE, node]})
 
     @pytest.mark.parametrize(
         "record",
         [
-            {"rule": "SO", "children": []},
-            {"rule": "SO", "children": [], "param": "e"},
-            {"rule": "AX"},
-            {"rule": "AND", "children": [{"rule": "TOP"}]},
-            {"rule": "TOP", "children": [{"rule": "TOP"}]},
-            {"children": []},
-            {"rule": "WI", "children": "x", "param": "a"},
+            {},
+            {"nodes": []},
+            {"nodes": "x"},
+            {"nodes": {"rule": "TOP", "premises": []}},
+            {"nodes": [["not", "a", "record"]]},
+            {"nodes": [{"premises": []}]},
+            {"nodes": [{"rule": "TOP"}]},
+            {"nodes": [TOP_NODE, {"rule": "SO", "premises": [0]}]},
+            {"nodes": [{"rule": "AX", "premises": []}]},
             ["not", "a", "record"],
         ],
     )
     def test_malformed_record_raises_value_error(self, record):
         with pytest.raises(ValueError):
             derivation_from_dict(record)
+
+    def test_a_nested_record_is_rejected(self):
+        """The nested form, one record per node holding its premises as ``children``,
+        no longer reads."""
+        nested = {
+            "rule": "SO", "conclusion_body": "a", "conclusion_head": "e", "param": "e",
+            "children": [{"rule": "AX", "conclusion_body": "a", "conclusion_head": "e",
+                          "children": []}],
+        }
+        with pytest.raises(ValueError):
+            derivation_from_dict(nested)
 
 
 def sample_tree(rules: dict, input, output):
@@ -279,7 +336,7 @@ class TestSubclassedRuleNodes:
             assert verify_derivation(norms, sub, goal) == verify_derivation(norms, base, goal)
         assert derivation_to_dict(sub) == derivation_to_dict(base)
         assert render_derivation(sub) == render_derivation(base)
-        assert derivation_from_dict(derivation_to_dict(sub)) == base
+        assert derivation_from_dict(json.loads(json.dumps(derivation_to_dict(sub)))) == base
 
 
 NAMES = ("a", "b", "c")
@@ -364,22 +421,29 @@ class TestAgainstRecursiveReference:
     def test_tampered_certificates(self, case):
         self.check(*case)
 
-    def test_shared_subtree_is_checked_at_each_place(self):
+    @settings(max_examples=300)
+    @given(random_trees())
+    def test_records_round_trip_through_json(self, case):
+        """Every premise comes before the node citing it, each node but the root is cited
+        once, and the JSON text reads back as the same tree."""
+        tree = case[1]
+        record = derivation_to_dict(tree)
+        nodes = record["nodes"]
+        assert all(p < i for i, r in enumerate(nodes) for p in r["premises"])
+        cited = sorted(p for r in nodes for p in r["premises"])
+        assert cited == list(range(len(nodes) - 1))
+        assert derivation_from_dict(json.loads(json.dumps(record))) == tree
+
+    def test_shared_subtree_is_checked_and_written_at_each_place(self):
         leaf = WI(AxiomLeaf(Norm(A, B)), A)
         d = AND(leaf, leaf)
         failure = verify_derivation(ONE_NORM, d, Norm(A, And(B, B)))
         assert failure == recursive_verify_derivation(ONE_NORM, d, Norm(A, And(B, B)))
         assert failure.path == ("left", "premise")
-
-
-def preorder(record: dict) -> list[dict]:
-    """A record's nodes in pre-order, each with its children replaced by their count."""
-    nodes, stack = [], [record]
-    while stack:
-        r = stack.pop()
-        nodes.append({**r, "children": len(r["children"])})
-        stack += reversed(r["children"])
-    return nodes
+        record = json.loads(json.dumps(derivation_to_dict(d)))
+        assert [r["rule"] for r in record["nodes"]] == ["AX", "WI", "AX", "WI", "AND"]
+        assert record == recursive_derivation_to_dict(d)
+        assert derivation_from_dict(record) == d
 
 
 class TestDeepCertificates:
@@ -402,25 +466,22 @@ class TestDeepCertificates:
         assert failure.path == ("premise", "right", "premise")
         assert failure.reason == "axiom (a, b) is not in the norm set"
 
-    def test_the_record_of_480_triggered_norms_reads_back(self):
-        norms = parse_norms("(a, e)\n" * 480)
+    def test_the_record_of_600_triggered_norms_reads_back_through_json(self):
+        norms = parse_norms("(a, e)\n" * 600)
         record = derivation_to_dict(derive_verdict(norms, A, E).certificate)
-        rebuilt = derivation_from_dict(record)
-        # Nested records 480 deep overflow ``==`` itself, so compare them flattened.
-        assert preorder(derivation_to_dict(rebuilt)) == preorder(record)
+        rebuilt = derivation_from_dict(json.loads(json.dumps(record)))
+        assert derivation_to_dict(rebuilt) == record
         assert verify_derivation(norms, rebuilt, Norm(A, E)) is None
 
     def test_the_certificate_of_600_triggered_norms_renders(self):
         certificate = derive_verdict(parse_norms("(a, e)\n" * 600), A, E).certificate
-        nodes = preorder(derivation_to_dict(certificate))
-        assert [r["rule"] for r in nodes[:2]] == ["SO", "AND"]
-        assert nodes[1]["conclusion_head"] == " & ".join(["e"] * 600)
+        nodes = derivation_to_dict(certificate)["nodes"]
+        assert [r["rule"] for r in nodes[-2:]] == ["AND", "SO"]
+        assert nodes[-2]["conclusion_head"] == " & ".join(["e"] * 600)
         lines = render_derivation(certificate).split("\n")
         assert len(lines) == len(nodes) == 3 * 600
-        assert lines[1] == f"  AND ⊢ (a, {nodes[1]['conclusion_head']})"
+        assert lines[1] == f"  AND ⊢ (a, {nodes[-2]['conclusion_head']})"
 
     def test_a_3000_deep_record_reads_back(self):
-        record = {"rule": "TOP", "children": []}
-        for _ in range(3000):
-            record = {"rule": "WI", "param": "a", "children": [record]}
+        record = {"nodes": [TOP_NODE] + [wi_node(i) for i in range(3000)]}
         assert conclusion(derivation_from_dict(record)) == Norm(A, TOP)
