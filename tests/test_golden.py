@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from iolog.cli import main
+from iolog.cli import _build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 NORMS = "(a, e)\n(b, e)\n"
@@ -72,6 +72,19 @@ def test_report_bytes(argv, golden, tmp_path):
     path = tmp_path / "norms.txt"
     path.write_text(NORMS, encoding="utf-8")
     assert run(argv, str(path)) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_report_is_a_json_document(argv, tmp_path):
+    """The report survives ``json.dumps`` and ``json.loads`` unchanged, and the text
+    format renders the same lines from the loaded copy as from the original."""
+    path = tmp_path / "norms.txt"
+    path.write_text(NORMS, encoding="utf-8")
+    args = _build_parser().parse_args([str(path) if word == "NORMS" else word for word in argv])
+    report, _ = args.func(args)
+    loaded = json.loads(json.dumps(report))
+    assert loaded == report
+    assert list(args.text(loaded)) == list(args.text(report))
 
 
 if __name__ == "__main__":
