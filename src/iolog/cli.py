@@ -88,7 +88,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
         fits = exc.budget // exc.atom_count
         hint = f"--max-worlds {fits} keeps within it" if fits else "countermodel --budget raises it"
-        raise CliError(f"{str(exc).rpartition(' (')[0]} ({hint})") from None
+        raise CliError(exc.message(hint)) from None
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),

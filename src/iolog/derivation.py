@@ -314,26 +314,32 @@ def derivation_from_dict(record: dict) -> Derivation:
     """Rebuild a derivation from its structured rendering; malformed records raise ValueError.
 
     One forward pass builds each node from premises built before it, so a record of any size
-    reads back.  Only the flat form reads: a nested record has no ``nodes``.
+    reads back.  Every node but the root, which is last, is cited exactly once, so the record
+    is a tree no larger than itself.  Only the flat form reads: a nested record has no ``nodes``.
     """
     try:
         built: list[Derivation] = []
+        cited: set[int] = set()
         for r in record["nodes"]:
             cls = next((c for c, entry in _RULES.items() if entry[0] == r["rule"]), None)
             if cls is None:
                 raise ValueError(f"unknown rule tag {r['rule']!r}")
-            # A premise is the index (an int, not a bool) of a node built already.  Each rule's
-            # constructor takes its premises, left first, then its parameter or, for AX, its norm.
+            # A premise is the index (an int, not a bool) of an earlier node no node has cited.
+            # Each rule's constructor takes its premises, left first, then its parameter or norm.
             premises = r["premises"]
-            args = [built[p] for p in premises if type(p) is int and 0 <= p < len(built)]
-            if type(premises) is not list or not len(args) == len(premises) == len(_RULES[cls][1]):
+            fresh = {p for p in premises if type(p) is int and 0 <= p < len(built)} - cited
+            if type(premises) is not list or not len(fresh) == len(premises) == len(_RULES[cls][1]):
                 raise ValueError(f"node {len(built)} ({r['rule']}) cites premises {premises!r}")
+            cited |= fresh
+            args = [built[p] for p in premises]
             if cls is AxiomLeaf:
                 body, head = r["conclusion_body"], r["conclusion_head"]
                 args.append(Norm(parse_formula(body), parse_formula(head)))
             elif _RULES[cls][2] is not None:
                 args.append(parse_formula(r["param"]))
             built.append(cls(*args))
+        if len(cited) < len(built) - 1:
+            raise ValueError(f"{len(built) - 1 - len(cited)} node(s) cited by no node")
         return built[-1]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed derivation record: {exc!r}") from None

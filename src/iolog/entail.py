@@ -54,13 +54,17 @@ class SearchBudgetError(RuntimeError):
     """The countermodel search would exceed its enumeration budget."""
 
     def __init__(self, world_count: int, atom_count: int, budget: int):
-        super().__init__(
-            f"countermodel search budget exceeded: {world_count} worlds x {atom_count} atoms "
-            f"> {budget} (raise the budget to search anyway)"
-        )
         self.world_count = world_count
         self.atom_count = atom_count
         self.budget = budget
+        super().__init__(self.message())
+
+    def message(self, remedy: str = "raise the budget to search anyway") -> str:
+        """The error line, naming ``remedy`` as the way past the budget."""
+        return (
+            f"countermodel search budget exceeded: {self.world_count} worlds x "
+            f"{self.atom_count} atoms > {self.budget} ({remedy})"
+        )
 
 
 def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:

@@ -254,11 +254,44 @@ class TestStructuredForm:
     def test_a_premise_must_index_a_node_before_it(self, premise):
         """Index 1 is the citing node itself, 2 comes after it, -1 would wrap round and a
         bool would read as 0 or 1: only the int 0 indexes a node built before node 1."""
-        record = {"nodes": [TOP_NODE, wi_node(premise), {**TOP_NODE}]}
+        record = {"nodes": [TOP_NODE, wi_node(premise)]}
         with pytest.raises(ValueError):
             derivation_from_dict(record)
         record["nodes"][1] = wi_node(0)
-        assert derivation_from_dict(record) == TopIntro()
+        assert derivation_from_dict(record) == WI(TopIntro(), A)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [TOP_NODE, {"rule": "AND", "premises": [0, 0]}],
+            [TOP_NODE, wi_node(0), wi_node(0), {"rule": "AND", "premises": [1, 2]}],
+        ],
+        ids=["twice-by-one-node", "once-by-each-of-two-nodes"],
+    )
+    def test_a_node_cited_twice_is_rejected(self, nodes):
+        with pytest.raises(ValueError, match="cites premises"):
+            derivation_from_dict({"nodes": nodes})
+
+    def test_a_shared_chain_is_rejected_before_it_unfolds(self):
+        """Sixty records, each citing the one before it twice, would stand for a tree of
+        2^60 nodes; the reader refuses it at the second record."""
+        nodes = [TOP_NODE] + [{"rule": "AND", "premises": [i, i]} for i in range(60)]
+        with pytest.raises(ValueError, match="node 1 "):
+            derivation_from_dict({"nodes": nodes})
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [{"rule": "AX", "conclusion_body": "p", "conclusion_head": "q", "premises": []},
+             TOP_NODE],
+            [TOP_NODE, wi_node(0), TOP_NODE],
+        ],
+        ids=["stray-AX", "stray-WI"],
+    )
+    def test_a_node_no_node_cites_is_rejected(self, nodes):
+        """Such a node is not part of the tree, so the checker would never see it."""
+        with pytest.raises(ValueError, match="cited by no node"):
+            derivation_from_dict({"nodes": nodes})
 
     @pytest.mark.parametrize("premises", ["", {}, (), 0, None, "0"], ids=repr)
     def test_premises_must_be_a_list(self, premises):
@@ -294,6 +327,8 @@ class TestStructuredForm:
             {"nodes": [{"rule": "TOP"}]},
             {"nodes": [TOP_NODE, {"rule": "SO", "premises": [0]}]},
             {"nodes": [{"rule": "AX", "premises": []}]},
+            {"nodes": [{**TOP_NODE, "rule": "AX", "conclusion_body": ["#"]}]},
+            {"nodes": [TOP_NODE, {**wi_node(0), "param": ["#"]}]},
             ["not", "a", "record"],
         ],
     )
