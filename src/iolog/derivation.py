@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables, entails
 from .formula import TOP, And, Formula, parse_formula, print_formula
@@ -82,18 +82,22 @@ class AND(Derivation):
     right: Derivation
 
 
-# Each rule's tag, the attributes holding its premises (left before right), and the
-# attribute holding its SO or WI parameter.
-_RULES: dict[type, tuple[str, tuple[str, ...], str | None]] = {
-    TopIntro: ("TOP", (), None),
-    AxiomLeaf: ("AX", (), None),
-    SO: ("SO", ("premise",), "output"),
-    WI: ("WI", ("premise",), "input"),
-    AND: ("AND", ("left", "right"), None),
+# Each rule's tag; the attributes holding its premises, left first; the attribute holding
+# its parameter (SO's and WI's formula, written as ``param``, or a leaf's norm, written as
+# its conclusion); and its conclusion, from the node and the conclusions computed so far,
+# keyed by ``id``.  The reader checks every stated conclusion against the last.
+_RULES: dict[type, tuple[str, tuple[str, ...], str | None, Callable[..., Norm]]] = {
+    TopIntro: ("TOP", (), None, lambda d, done: Norm(TOP, TOP)),
+    AxiomLeaf: ("AX", (), "norm", lambda d, done: d.norm),
+    SO: ("SO", ("premise",), "output", lambda d, done: Norm(done[id(d.premise)].body, d.output)),
+    WI: ("WI", ("premise",), "input", lambda d, done: Norm(d.input, done[id(d.premise)].head)),
+    AND: ("AND", ("left", "right"), None, lambda d, done: Norm(
+        done[id(d.left)].body, And(done[id(d.left)].head, done[id(d.right)].head))),
 }
+_BY_TAG = {entry[0]: (cls, entry) for cls, entry in _RULES.items()}
 
 
-def _rule(d: Derivation) -> tuple[str, tuple[str, ...], str | None]:
+def _rule(d: Derivation) -> tuple:
     """The table entry of ``d``'s rule; a node of a subclass reads as the rule it derives from."""
     for cls in type(d).__mro__:
         if (entry := _RULES.get(cls)) is not None:
@@ -101,33 +105,20 @@ def _rule(d: Derivation) -> tuple[str, tuple[str, ...], str | None]:
     raise TypeError(f"not a derivation: {d!r}")
 
 
-def _walk(d: Derivation) -> tuple[list[tuple[Derivation, int, str]], dict[int, Norm]]:
+def _walk(d: Derivation) -> tuple[list[tuple], dict[int, Norm]]:
     """Every node of ``d`` in pre-order (a node before its premises, left before right),
-    each with its parent's position in the list and the attribute that holds it there;
-    and every node's conclusion keyed by ``id``, computed once from its premises'."""
-    order: list[tuple[Derivation, int, str]] = []
+    each with its parent's position in the list, the attribute that holds it there and its
+    rule; and every node's conclusion keyed by ``id``, computed once from its premises'."""
+    order: list[tuple] = []
     stack = [(d, -1, "")]
     while stack:
-        entry = stack.pop()
-        parent = len(order)
-        order.append(entry)
-        node = entry[0]
-        for step in reversed(_rule(node)[1]):
-            stack.append((getattr(node, step), parent, step))
+        node, parent, step = stack.pop()
+        rule = _rule(node)
+        stack += [(getattr(node, premise), len(order), premise) for premise in reversed(rule[1])]
+        order.append((node, parent, step, rule))
     concluded: dict[int, Norm] = {}
-    for node, _, _ in reversed(order):  # rules tested commonest first
-        if isinstance(node, WI):
-            pair = Norm(node.input, concluded[id(node.premise)].head)
-        elif isinstance(node, AxiomLeaf):
-            pair = node.norm
-        elif isinstance(node, AND):
-            l, r = concluded[id(node.left)], concluded[id(node.right)]
-            pair = Norm(l.body, And(l.head, r.head))
-        elif isinstance(node, SO):
-            pair = Norm(concluded[id(node.premise)].body, node.output)
-        else:  # TopIntro, the one rule left: ``_rule`` rejects every other node
-            pair = Norm(TOP, TOP)
-        concluded[id(node)] = pair
+    for node, _, _, rule in reversed(order):
+        concluded[id(node)] = rule[3](node, concluded)
     return order, concluded
 
 
@@ -162,12 +153,12 @@ def verify_derivation(
     is checked last.
     """
     order, concluded = _walk(d)
-    for position, (node, _, _) in enumerate(order):
+    for position, (node, _, _, _) in enumerate(order):
         reason = _violation(norms, node, concluded, atom_limit)
         if reason is not None:
             path = []
             while position > 0:
-                _, position, step = order[position]
+                _, position, step, _ = order[position]
                 path.append(step)
             return CheckFailure(tuple(reversed(path)), reason)
     if (pair := concluded[id(d)]) != goal:
@@ -293,15 +284,14 @@ def derivation_to_dict(d: Derivation) -> dict:
     comes after its premises and the root is last; a record cites its premises by index."""
     order, concluded = _walk(d)
     records: list[dict] = []
-    for node, parent, _ in order:
-        rule, _, param = _rule(node)
+    for node, parent, _, (tag, _, param, _) in order:
         pair = concluded[id(node)]
         record = {
-            "rule": rule,
+            "rule": tag,
             "conclusion_body": print_formula(pair.body),
             "conclusion_head": print_formula(pair.head),
         }
-        if param is not None:
+        if param is not None and param != "norm":
             record["param"] = print_formula(getattr(node, param))
         record["premises"] = []
         if parent >= 0:  # reversed, pre-order position p is index len(order) - 1 - p
@@ -315,29 +305,36 @@ def derivation_from_dict(record: dict) -> Derivation:
 
     One forward pass builds each node from premises built before it, so a record of any size
     reads back.  Every node but the root, which is last, is cited exactly once, so the record
-    is a tree no larger than itself.  Only the flat form reads: a nested record has no ``nodes``.
+    is a tree no larger than itself.  Each node's stated conclusion must be the one it derives,
+    as ``print_formula`` prints it.  Only the flat form reads: a nested record has no ``nodes``.
     """
     try:
         built: list[Derivation] = []
         cited: set[int] = set()
+        concluded: dict[int, Norm] = {}
         for r in record["nodes"]:
-            cls = next((c for c, entry in _RULES.items() if entry[0] == r["rule"]), None)
-            if cls is None:
+            if r["rule"] not in _BY_TAG:
                 raise ValueError(f"unknown rule tag {r['rule']!r}")
+            cls, (tag, attrs, param, conclude) = _BY_TAG[r["rule"]]
             # A premise is the index (an int, not a bool) of an earlier node no node has cited.
-            # Each rule's constructor takes its premises, left first, then its parameter or norm.
+            # Each rule's constructor takes its premises, left first, then its parameter.
             premises = r["premises"]
             fresh = {p for p in premises if type(p) is int and 0 <= p < len(built)} - cited
-            if type(premises) is not list or not len(fresh) == len(premises) == len(_RULES[cls][1]):
-                raise ValueError(f"node {len(built)} ({r['rule']}) cites premises {premises!r}")
+            if type(premises) is not list or not len(fresh) == len(premises) == len(attrs):
+                raise ValueError(f"node {len(built)} ({tag}) cites premises {premises!r}")
             cited |= fresh
             args = [built[p] for p in premises]
-            if cls is AxiomLeaf:
-                body, head = r["conclusion_body"], r["conclusion_head"]
+            body, head = r["conclusion_body"], r["conclusion_head"]
+            if param == "norm":
                 args.append(Norm(parse_formula(body), parse_formula(head)))
-            elif _RULES[cls][2] is not None:
+            elif param is not None:
                 args.append(parse_formula(r["param"]))
-            built.append(cls(*args))
+            node = cls(*args)
+            pair = concluded[id(node)] = conclude(node, concluded)
+            # Printed text, not parsed formulas: a long AND head nests past MAX_DEPTH.
+            if print_formula(pair.body) != body or print_formula(pair.head) != head:
+                raise ValueError(f"node {len(built)} ({tag}) misstates its conclusion")
+            built.append(node)
         if len(cited) < len(built) - 1:
             raise ValueError(f"{len(built) - 1 - len(cited)} node(s) cited by no node")
         return built[-1]

@@ -165,8 +165,8 @@ def counterexample_valuation(
     witnesses = tables.counterexamples(premises, conclusion)
     if not witnesses:
         return None
-    point, names = (witnesses & -witnesses).bit_length() - 1, tables.names
-    return {name: bool(point >> (len(names) - 1 - k) & 1) for k, name in enumerate(names)}
+    lowest = witnesses & -witnesses  # the first witness's bit
+    return {name: bool(tables.env[name] & lowest) for name in tables.names}
 
 
 def entails(

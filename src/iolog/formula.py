@@ -4,11 +4,11 @@ The formula language has lowercase atoms, the constants ``true`` and
 ``false``, and the connectives ``!`` (negation), ``&`` (conjunction),
 ``|`` (disjunction), and ``->`` (implication).  Precedence, lowest to
 highest: ``->`` (right-associative), ``|``, ``&`` (left-associative),
-``!`` (prefix); the parser and the printer read the binary connectives
-from one table, ``_BINARY``.  Whitespace is insignificant and ``#`` starts
-a comment running to the end of the line.  Nesting deeper than
-``MAX_DEPTH`` levels, each connective and each pair of parentheses being
-one, is a syntax error.
+``!`` (prefix); the tokenizer, the parser and the printer read the binary
+connectives from one table, ``_BINARY``.  Whitespace is insignificant and
+``#`` starts a comment running to the end of the line.  Nesting deeper
+than ``MAX_DEPTH`` levels, each connective and each pair of parentheses
+being one, is a syntax error.
 
 Formula values are immutable and compare structurally; two formulas
 print identically exactly when they are structurally equal.  No
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_RESERVED = frozenset({"true", "false"})
+_BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)+")  # blanks, and comments to the end of a line
 MAX_DEPTH = 100  # so that parsed formulas evaluate, print, compare and hash without overflow
 
 
@@ -65,7 +65,7 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        if not _ATOM_NAME.fullmatch(self.name) or self.name in _RESERVED:
+        if not _ATOM_NAME.fullmatch(self.name) or self.name in _CONSTANTS:
             raise ValueError(f"invalid atom name {self.name!r}")
 
 
@@ -104,6 +104,9 @@ class Implies(Formula):
 
 TOP = Top()
 BOTTOM = Bottom()
+# The constants' words and negation's symbol, for the tokenizer, the parser and the printer.
+_CONSTANTS = {"true": TOP, "false": BOTTOM}
+_NOT = "!"
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -154,6 +157,7 @@ _BINARY = (
 _TOKEN_LEVEL = {kind: level for level, (kind, _, _, _) in enumerate(_BINARY)}
 _NODE_LEVEL = dict.fromkeys((Atom, Top, Bottom, Not), len(_BINARY))
 _NODE_LEVEL.update((cls, level) for level, (_, _, cls, _) in enumerate(_BINARY))
+_WORDS = {type(constant): word for word, constant in _CONSTANTS.items()}
 
 
 def print_formula(f: Formula) -> str:
@@ -177,10 +181,10 @@ def print_formula(f: Formula) -> str:
             _, symbol, _, right = _BINARY[level]
             stack += ((g.right, level + (not right)), f" {symbol} ", (g.left, level + right))
         elif t is Not:
-            parts.append("!")
+            parts.append(_NOT)
             stack.append((g.operand, level))
         else:
-            parts.append(g.name if t is Atom else "true" if t is Top else "false")
+            parts.append(g.name if t is Atom else _WORDS[t])
     return "".join(parts)
 
 
@@ -190,7 +194,9 @@ class _Token(NamedTuple):
     pos: int  # 1-based character position
 
 
-_PUNCT = {"(": "lparen", ")": "rparen", "!": "not", "&": "and", "|": "or"}
+_SYMBOLS = {"(": "lparen", ")": "rparen", _NOT: "not"} | {s: k for k, s, _, _ in _BINARY}
+_LONGER = {symbol[0]: symbol for symbol in _SYMBOLS if len(symbol) > 1}
+_A_FORMULA = f"a formula (atom, {', '.join(map(repr, _CONSTANTS))}, {_NOT!r} or '(')"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -198,23 +204,16 @@ def _tokenize(text: str) -> list[_Token]:
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == "#":
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl + 1
-        elif c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, i + 1))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("implies", "->", i + 1))
-                i += 2
-            else:
-                raise FormulaSyntaxError(i + 1, "expected '->' after '-'")
+        if c in " \t\r\n#":
+            i = _BLANKS.match(text, i).end()
+        elif (symbol := _LONGER.get(c, c)) in _SYMBOLS:  # a longer symbol is tried first
+            if not text.startswith(symbol, i):
+                raise FormulaSyntaxError(i + 1, f"expected {symbol!r} after {c!r}")
+            tokens.append(_Token(_SYMBOLS[symbol], symbol, i + 1))
+            i += len(symbol)
         elif m := _ATOM_NAME.match(text, i):
             word = m.group()
-            tokens.append(_Token(word if word in _RESERVED else "atom", word, i + 1))
+            tokens.append(_Token(word if word in _CONSTANTS else "atom", word, i + 1))
             i = m.end()
         else:
             raise FormulaSyntaxError(i + 1, f"unexpected character {c!r}")
@@ -248,7 +247,7 @@ class _Parser:
         return depth
 
     def nested(self, parse) -> tuple[Formula, int]:
-        """Consume a '(', '!' or '->' and parse the level it opens, if allowed."""
+        """Consume an opening parenthesis, negation or implication; parse its level, if allowed."""
         self.open = self.level(self.advance(), self.open + 1)
         result = parse()
         self.open -= 1
@@ -264,7 +263,7 @@ class _Parser:
         f = self.unary()
         while (level := _TOKEN_LEVEL.get(self.peek().kind, -1)) >= loosest:
             _, _, cls, right = _BINARY[level]
-            if right:  # recurses once per connective, so it opens a level like '!' and '('
+            if right:  # recurses once per connective, so it opens a level like negation
                 f = self.node(cls, f, self.nested(lambda: self.binary(level)))
             else:
                 self.advance()
@@ -275,25 +274,16 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "not":
             return self.node(Not, self.nested(self.unary))
-        if tok.kind == "true":
+        if tok.kind == "atom" or tok.kind in _CONSTANTS:
             self.advance()
-            return TOP, 0
-        if tok.kind == "false":
-            self.advance()
-            return BOTTOM, 0
-        if tok.kind == "atom":
-            self.advance()
-            return Atom(tok.text), 0
+            return _CONSTANTS[tok.kind] if tok.kind in _CONSTANTS else Atom(tok.text), 0
         if tok.kind == "lparen":
             f, depth = self.nested(self.binary)
             closing = self.peek()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError(closing.pos, f"expected ')', found {_describe(closing)}")
             return f, self.level(self.advance(), depth + 1)
-        raise FormulaSyntaxError(
-            tok.pos,
-            f"expected a formula (atom, 'true', 'false', '!' or '('), found {_describe(tok)}",
-        )
+        raise FormulaSyntaxError(tok.pos, f"expected {_A_FORMULA}, found {_describe(tok)}")
 
 
 def parse_formula(text: str) -> Formula:

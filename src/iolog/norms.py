@@ -101,6 +101,6 @@ def parse_norms(text: str) -> NormSet:
 
 
 def load_norms(path) -> NormSet:
-    """Read a UTF-8 norm file from ``path``."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a UTF-8 norm file from ``path``; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_norms(handle.read())

@@ -15,12 +15,15 @@ with the oracle in ``conftest.py`` and never call iolog's kernel, so the
 tests can compare the mask engines against them.  The ``recursive_``
 formula printer and parser are iolog's before one table of binary
 connectives drove both: a printer that recurses once per connective, and
-one recursive-descent method per precedence level over iolog's tokens.
+one recursive-descent method per precedence level over the tokens of a
+loop over the characters that spells out each symbol, as iolog's
+tokenizer did before it read the same tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import reduce
 
 from conftest import oracle_atoms, oracle_entails, oracle_eval, oracle_valuations
@@ -51,7 +54,7 @@ from iolog import (
     render_norm,
     source_ordered_heads,
 )
-from iolog.formula import MAX_DEPTH, _tokenize
+from iolog.formula import MAX_DEPTH, _Token
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:
@@ -455,9 +458,44 @@ class _RecursiveParser:
         )
 
 
+_PUNCT = {"(": "lparen", ")": "rparen", "!": "not", "&": "and", "|": "or"}
+_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
+
+def character_tokenize(text: str) -> list[_Token]:
+    """Tokens by a loop over the characters, each symbol spelled out."""
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == "#":
+            nl = text.find("\n", i)
+            i = n if nl < 0 else nl + 1
+        elif c in _PUNCT:
+            tokens.append(_Token(_PUNCT[c], c, i + 1))
+            i += 1
+        elif c == "-":
+            if text.startswith("->", i):
+                tokens.append(_Token("implies", "->", i + 1))
+                i += 2
+            else:
+                raise FormulaSyntaxError(i + 1, "expected '->' after '-'")
+        elif m := _WORD.match(text, i):
+            word = m.group()
+            tokens.append(_Token(word if word in ("true", "false") else "atom", word, i + 1))
+            i = m.end()
+        else:
+            raise FormulaSyntaxError(i + 1, f"unexpected character {c!r}")
+    tokens.append(_Token("end", "", n + 1))
+    return tokens
+
+
 def recursive_parse_formula(text: str):
-    """Parse by recursive descent, one method per precedence level."""
-    parser = _RecursiveParser(_tokenize(text))
+    """Parse by recursive descent, one method per precedence level, over the tokens of
+    ``character_tokenize``."""
+    parser = _RecursiveParser(character_tokenize(text))
     f, _ = parser.implication()
     trailing = parser.peek()
     if trailing.kind != "end":

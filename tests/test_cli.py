@@ -51,6 +51,18 @@ class TestCheck:
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_a_leading_byte_order_mark_is_skipped(self, norms_file, tmp_path, fmt, capsys):
+        """A norm file saved with a UTF-8 byte-order mark gives the same report."""
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(norms_file).read_bytes())
+        reports = []
+        for path in (norms_file, str(marked)):
+            argv = ["check", "--norms", path, "--input", "a", "--goal", "e", "--format", fmt]
+            assert main(argv) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+
     def test_derivation_engine_prints_certificate(self, norms_file, capsys):
         rc = main(
             ["check", "--norms", norms_file, "--input", "a", "--goal", "e",

@@ -6,7 +6,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import formulas, norm_sets, random_formula, random_norm_set
 from pointwise import (
@@ -336,6 +336,36 @@ class TestStructuredForm:
         with pytest.raises(ValueError):
             derivation_from_dict(record)
 
+    def test_a_misstated_conclusion_is_rejected(self):
+        """Every record but the leaves states (q, z): the tree it cites still checks,
+        so the reader must compare each stated conclusion with the one derived."""
+        norms = parse_norms("(a, e)\n(b, f)")
+        d = construct_derivation(norms, And(A, B), parse_formula("e & f"))
+        record = derivation_to_dict(d)
+        assert [r["rule"] for r in record["nodes"]] == ["AX", "WI", "AX", "WI", "AND", "SO"]
+        for r in record["nodes"]:
+            if r["rule"] != "AX":
+                r.update(conclusion_body="q", conclusion_head="z")
+        with pytest.raises(ValueError, match=r"node 1 \(WI\) misstates its conclusion"):
+            derivation_from_dict(record)
+
+    @pytest.mark.parametrize("field", ["conclusion_body", "conclusion_head"])
+    @pytest.mark.parametrize("index", [1, 3, 4, 5])
+    def test_each_stated_conclusion_is_checked(self, index, field):
+        norms = parse_norms("(a, e)\n(b, f)")
+        record = derivation_to_dict(construct_derivation(norms, And(A, B), parse_formula("e & f")))
+        assert derivation_from_dict(record) is not None
+        record["nodes"][index][field] += " | q"
+        with pytest.raises(ValueError, match=f"node {index} "):
+            derivation_from_dict(record)
+
+    @pytest.mark.parametrize("body", ["(p)", "p ", "p&q"])
+    def test_a_conclusion_is_stated_as_print_formula_prints_it(self, body):
+        """A leaf's norm reads from its stated conclusion, which must be in printed form."""
+        node = {"rule": "AX", "conclusion_body": body, "conclusion_head": "q", "premises": []}
+        with pytest.raises(ValueError, match=r"node 0 \(AX\) misstates"):
+            derivation_from_dict({"nodes": [node]})
+
     def test_a_nested_record_is_rejected(self):
         """The nested form, one record per node holding its premises as ``children``,
         no longer reads."""
@@ -469,6 +499,20 @@ class TestAgainstRecursiveReference:
         assert cited == list(range(len(nodes) - 1))
         assert derivation_from_dict(json.loads(json.dumps(record))) == tree
 
+    @settings(max_examples=300)
+    @given(random_trees(), st.data())
+    def test_a_misstated_conclusion_is_named_by_its_index(self, case, data):
+        """A leaf's stated conclusion is its norm; any other node's must be the one its
+        premises and parameter give it."""
+        nodes = derivation_to_dict(case[1])["nodes"]
+        inner = [i for i, r in enumerate(nodes) if r["rule"] != "AX"]
+        assume(inner)
+        index = data.draw(st.sampled_from(inner))
+        field = data.draw(st.sampled_from(["conclusion_body", "conclusion_head"]))
+        nodes[index][field] = f"!({nodes[index][field]})"
+        with pytest.raises(ValueError, match=f"node {index} "):
+            derivation_from_dict({"nodes": nodes})
+
     def test_shared_subtree_is_checked_and_written_at_each_place(self):
         leaf = WI(AxiomLeaf(Norm(A, B)), A)
         d = AND(leaf, leaf)
@@ -507,6 +551,14 @@ class TestDeepCertificates:
         rebuilt = derivation_from_dict(json.loads(json.dumps(record)))
         assert derivation_to_dict(rebuilt) == record
         assert verify_derivation(norms, rebuilt, Norm(A, E)) is None
+
+    def test_a_misstated_head_of_600_conjuncts_is_found(self):
+        norms = parse_norms("(a, e)\n" * 600)
+        record = derivation_to_dict(derive_verdict(norms, A, E).certificate)
+        nodes = record["nodes"]
+        nodes[-2]["conclusion_head"] = " & ".join(["e"] * 599)
+        with pytest.raises(ValueError, match=f"node {len(nodes) - 2} \\(AND\\)"):
+            derivation_from_dict(json.loads(json.dumps(record)))
 
     def test_the_certificate_of_600_triggered_norms_renders(self):
         certificate = derive_verdict(parse_norms("(a, e)\n" * 600), A, E).certificate

@@ -19,14 +19,18 @@ from iolog import (
     parse_formula,
     print_formula,
 )
-from iolog.formula import MAX_DEPTH
-from pointwise import recursive_parse_formula, recursive_print_formula
+from iolog.formula import MAX_DEPTH, _tokenize
+from pointwise import character_tokenize, recursive_parse_formula, recursive_print_formula
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
-# The whole lexicon, a lone '-' and a bad character included, run together
+# The whole lexicon, a lone '-' and '>', characters that start no token ('A',
+# 'é', '$' and a vertical tab) and a comment the text may end in, run together
 # without spaces as often as with them.
-LEXICON = ("a", "b", "true", "false", "!", "&", "|", "->", "-", "(", ")", " ", "\t", "# c\n", "$")
+LEXICON = (
+    "a", "b", "A", "x_1", "true", "false", "!", "&", "|", "->", "-", ">", "(", ")",
+    " ", "\t", "\r", "\x0b", "# c\n", "#", "$", "é",
+)
 SOUP = st.lists(st.sampled_from(LEXICON), max_size=30).map("".join)
 # Text at the nesting limit, one level either side, between two soups.
 NEAR_THE_LIMIT = st.tuples(
@@ -206,7 +210,13 @@ def _outcome(parse, text):
 
 
 class TestAgainstRecursiveReference:
-    """The table-driven parser and printer against the recursive ones they replaced."""
+    """The table-driven tokenizer, parser and printer against the character loop and the
+    recursive ones they replaced."""
+
+    @settings(max_examples=500)
+    @given(st.one_of(SOUP, formulas(max_leaves=16).map(recursive_print_formula)))
+    def test_tokenizer_gives_the_same_tokens_or_the_same_error(self, text):
+        assert _outcome(_tokenize, text) == _outcome(character_tokenize, text)
 
     @given(formulas(max_leaves=16))
     def test_printer(self, f):

@@ -69,6 +69,23 @@ class TestFiles:
         path.write_text("(a, e)\n(b, e)\n", encoding="utf-8")
         assert load_norms(path).norms == (Norm(A, E), Norm(B, E))
 
+    def test_load_norms_skips_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "norms.txt"
+        path.write_text("\ufeff(a, e)\n(b, e)\n", encoding="utf-8")
+        assert load_norms(path).norms == (Norm(A, E), Norm(B, E))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("(a, e)\n\ufeff(b, e)\n", 2), ("(a,\ufeff e)\n", 1), ("\ufeff\ufeff(a, e)\n", 1)],
+        ids=["second-line", "inside-a-norm", "second-mark"],
+    )
+    def test_a_byte_order_mark_anywhere_else_is_an_error(self, tmp_path, text, line):
+        path = tmp_path / "norms.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NormSyntaxError) as err:
+            load_norms(path)
+        assert err.value.line == line
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_norms(tmp_path / "absent.txt")
