@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable
+from typing import Callable
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables, entails
 from .formula import TOP, And, Formula, parse_formula, print_formula
@@ -222,29 +222,9 @@ def construct_derivation(
     *,
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> Derivation | None:
-    """Build the canonical derivation of (input, goal), or None when none exists.
-
-    Tautological goals route through the (true, true) axiom.  Otherwise
-    every triggered norm is widened to the input with WI, the results are
-    conjoined left to right in norm-set order, and one final SO weakens
-    the combined head to the goal; if that last entailment fails the goal
-    is not derivable at all.
-    """
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    return _canonical_derivation(_triggered(norms, input, tables), input, goal, tables)
-
-
-def _canonical_derivation(
-    triggered: Iterable[Norm], input: Formula, goal: Formula, tables: _Tables
-) -> Derivation | None:
-    # ``triggered`` is not read when the goal is a tautology.
-    if tables.entails((), goal):
-        return SO(WI(TopIntro(), input), goal)
-    triggered = list(triggered)
-    # The combined head is the conjunction of the triggered heads.
-    if not triggered or not tables.entails([n.head for n in triggered], goal):
-        return None
-    return SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
+    """The canonical derivation of (input, goal), or None when none exists: the certificate
+    of ``derive_verdict``, which raises where it does."""
+    return derive_verdict(norms, input, goal, atom_limit=atom_limit).certificate
 
 
 def derive_verdict(
@@ -254,10 +234,20 @@ def derive_verdict(
     *,
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> Verdict:
-    """Membership verdict from the proof-theoretic engine, carrying the certificate."""
+    """Membership verdict from the proof-theoretic engine, carrying the canonical derivation.
+
+    Triggering is decided first.  A tautological goal then routes through the (true, true)
+    axiom; otherwise the triggered norms, widened to the input with WI and conjoined in
+    norm-set order, are weakened to the goal by one SO, or no derivation exists.
+    """
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
     triggered = list(_triggered(norms, input, tables))
-    certificate = _canonical_derivation(triggered, input, goal, tables)
+    if tables.entails((), goal):
+        certificate = SO(WI(TopIntro(), input), goal)
+    elif triggered and tables.entails([n.head for n in triggered], goal):
+        certificate = SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
+    else:
+        certificate = None
     heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 

@@ -197,28 +197,22 @@ def per_entailment_out1_triple_approx(norms, input, goal, limit=DEFAULT_ATOM_LIM
     return Verdict(holds, "triple-approx", triggered=heads)
 
 
-def _canonical_derivation(triggered, input, goal, limit):
-    """The canonical derivation, its final SO side condition checked on the combined
-    head; ``triggered`` is not read when the goal is a tautology."""
-    if limited_entails((), goal, limit):
-        return SO(WI(TopIntro(), input), goal)
-    leaves = [WI(AxiomLeaf(n), input) for n in triggered]
-    if not leaves:
-        return None
-    combined = reduce(AND, leaves)
-    if not limited_entails((recursive_conclusion(combined).head,), goal, limit):
-        return None
-    return SO(combined, goal)
-
-
 def per_entailment_construct_derivation(norms, input, goal, limit=DEFAULT_ATOM_LIMIT):
-    triggered = per_entailment_triggered(norms, input, limit)
-    return _canonical_derivation(triggered, input, goal, limit)
+    return per_entailment_derive_verdict(norms, input, goal, limit).certificate
 
 
 def per_entailment_derive_verdict(norms, input, goal, limit=DEFAULT_ATOM_LIMIT) -> Verdict:
+    """The canonical derivation after triggering, its final SO side condition checked on
+    the combined head."""
     triggered = list(per_entailment_triggered(norms, input, limit))
-    certificate = _canonical_derivation(triggered, input, goal, limit)
+    if limited_entails((), goal, limit):
+        certificate = SO(WI(TopIntro(), input), goal)
+    elif not triggered:
+        certificate = None
+    else:
+        combined = reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered])
+        holds = limited_entails((recursive_conclusion(combined).head,), goal, limit)
+        certificate = SO(combined, goal) if holds else None
     heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 

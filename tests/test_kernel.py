@@ -25,6 +25,7 @@ from iolog import (
     find_countermodel,
     lifted_extension,
     lifted_valid,
+    lifted_verdict,
     naive_unfold_valid,
     out1_member,
     out1_member_lifted,
@@ -165,6 +166,12 @@ ENGINES = (
 )
 
 
+# The input and the norm's body have 3 atoms between them, more than the limit of 1, and
+# the goal is a tautology over 1 atom.
+TAUTOLOGY_AFTER_WIDE_BODY = (parse_norms("(b & c, e)"), Atom("a"), parse_formula("a | !a"))
+OUT1_ENTRY_POINTS = (out1_member, out1_triple_approx, derive_verdict, construct_derivation, lifted_verdict)
+
+
 def outcome(engine, *args, **kwargs):
     """What a call returns, or the count and limit of the AtomLimitError it raises."""
     try:
@@ -188,6 +195,22 @@ class TestQueryTables:
         verdict = outcome(derive_verdict, norms, input, goal, atom_limit=limit)
         if isinstance(verdict, Verdict) and verdict.certificate is not None:
             assert verify_derivation(norms, verdict.certificate, Norm(input, goal)) is None
+
+    @settings(max_examples=300)
+    @given(norm_sets(), formulas(max_leaves=4), formulas(max_leaves=4), st.integers(0, 4))
+    def test_construct_derivation_is_derive_verdicts_certificate(self, norms, input, goal, limit):
+        def certificate(*args, **kwargs):
+            return derive_verdict(*args, **kwargs).certificate
+
+        assert outcome(construct_derivation, norms, input, goal, atom_limit=limit) == outcome(
+            certificate, norms, input, goal, atom_limit=limit
+        )
+
+    @pytest.mark.parametrize("engine", OUT1_ENTRY_POINTS, ids=lambda engine: engine.__name__)
+    def test_every_out1_entry_point_decides_triggering_first(self, engine):
+        with pytest.raises(AtomLimitError) as err:
+            engine(*TAUTOLOGY_AFTER_WIDE_BODY, atom_limit=1)
+        assert (err.value.count, err.value.limit) == (3, 1)
 
     def test_atom_limit_counts_each_entailment(self):
         (norm,) = LIMIT_NORMS
