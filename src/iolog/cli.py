@@ -272,22 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except MemoryError:
-        pass  # report once the handler has dropped the traceback and the tables it holds
-    if args.command == "countermodel":  # the search ignores --atom-limit
-        hint = "a lower --budget bounds the search"
-    else:
-        hint = "a lower --atom-limit bounds the truth tables"
-    print(f"error: out of memory ({hint})", file=sys.stderr)
-    return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    try:
         report, code = args.func(args)
         structured = args.format == "structured"
-        out = json.dumps(report, indent=2) if structured else "\n".join(args.text(report))
+        print(json.dumps(report, indent=2) if structured else "\n".join(args.text(report)))
+        return code
     except (
         CliError,
         FormulaSyntaxError,
@@ -300,8 +288,14 @@ def _run(args: argparse.Namespace) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out)
-    return code
+    except MemoryError:
+        pass  # report once the handler has dropped the traceback and the tables it holds
+    if args.command == "countermodel":  # the search ignores --atom-limit
+        hint = "a lower --budget bounds the search"
+    else:
+        hint = "a lower --atom-limit bounds the truth tables"
+    print(f"error: out of memory ({hint})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -64,38 +64,32 @@ def render_norm(norm: Norm) -> str:
     return f"({print_formula(norm.body)}, {print_formula(norm.head)})"
 
 
-def _split_pair(line: str) -> tuple[str, str]:
-    """Split ``(BODY, HEAD)`` at the comma sitting directly inside the outer parens."""
-    stripped = line.strip()
-    if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise ValueError("a norm is written (BODY, HEAD)")
-    inner = stripped[1:-1]
-    depth = 0
-    for i, c in enumerate(inner):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            return inner[:i], inner[i + 1 :]
-    raise ValueError("missing ',' between body and head")
-
-
 def parse_norm(text: str, line: int = 1) -> Norm:
-    """Parse a single ``(BODY, HEAD)`` norm."""
+    """Parse a single ``(BODY, HEAD)`` norm; a syntax error counts its position from the
+    start of ``text``.  Formulas hold no comma, so the first comma splits the pair, even
+    one in a ``#`` comment: ``"(a # (x, y\\n # )\\n, e)"`` is rejected."""
+    stripped = text.strip()
+    if stripped[:1] != "(" or stripped[-1:] != ")":
+        raise NormSyntaxError(line, "a norm is written (BODY, HEAD)")
+    body_text, comma, head_text = stripped[1:-1].partition(",")
+    if not comma:
+        raise NormSyntaxError(line, "missing ',' between body and head")
+    offset = len(text) - len(text.lstrip()) + 1  # characters before the body
     try:
-        body_text, head_text = _split_pair(text)
-        return Norm(parse_formula(body_text), parse_formula(head_text))
-    except (ValueError, FormulaSyntaxError) as exc:
-        raise NormSyntaxError(line, str(exc)) from None
+        body = parse_formula(body_text)
+        offset += len(body_text) + 1  # and before the head
+        return Norm(body, parse_formula(head_text))
+    except FormulaSyntaxError as exc:
+        shifted = FormulaSyntaxError(exc.position + offset, exc.reason)
+        raise NormSyntaxError(line, str(shifted)) from None
 
 
 def parse_norms(text: str) -> NormSet:
     """Parse norm-file text into a NormSet, preserving line order."""
     norms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+        line = raw.split("#", 1)[0]
+        if line.strip():
             norms.append(parse_norm(line, lineno))
     return NormSet(tuple(norms))
 

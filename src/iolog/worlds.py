@@ -56,12 +56,15 @@ class WorldModel:
     extension: Mapping[str, frozenset[int]]
 
     def __post_init__(self):
-        if self.world_count < 1:
-            raise ValueError("a world model needs at least one world")
+        # Counts and worlds are ints, not bools: True would equal world 1 but print as wTrue.
+        if type(self.world_count) is not int or self.world_count < 1:
+            raise ValueError(f"a world model needs an int count of worlds, at least 1, "
+                             f"got {self.world_count!r}")
         frozen = {name: frozenset(worlds) for name, worlds in self.extension.items()}
         for name, worlds in frozen.items():
-            if not all(0 <= w < self.world_count for w in worlds):
-                raise ValueError(f"extension of {name!r} mentions out-of-range worlds")
+            if not all(type(w) is int and 0 <= w < self.world_count for w in worlds):
+                raise ValueError(f"extension of {name!r} mentions a world that is not an int "
+                                 f"in range({self.world_count})")
         object.__setattr__(self, "extension", MappingProxyType(frozen))
 
     def __hash__(self) -> int:
@@ -183,8 +186,8 @@ def find_countermodel(
     W worlds it takes the least arrangement (valuations from highest to
     lowest) of a falsifying set.  Absence past 2^n worlds is exact.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    if type(max_worlds) is not int or max_worlds < 1:
+        raise ValueError(f"max_worlds must be an int, at least 1, got {max_worlds!r}")
     names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)

@@ -17,7 +17,10 @@ formula printer and parser are iolog's before one table of binary
 connectives drove both: a printer that recurses once per connective, and
 one recursive-descent method per precedence level over the tokens of a
 loop over the characters that spells out each symbol, as iolog's
-tokenizer did before it read the same tables.
+tokenizer did before it read the same tables.  ``depth_parse_norms`` reads
+a norm file as iolog did before a norm's one comma split it: a scan that
+counts parenthesis depth finds the comma directly inside the outer
+parentheses.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from iolog import (
     FormulaSyntaxError,
     Implies,
     Norm,
+    NormSet,
+    NormSyntaxError,
     Not,
     Or,
     Top,
@@ -50,6 +55,7 @@ from iolog import (
     UnboundAtomError,
     Verdict,
     WorldModel,
+    parse_formula,
     print_formula,
     render_norm,
     source_ordered_heads,
@@ -495,3 +501,34 @@ def recursive_parse_formula(text: str):
     if trailing.kind != "end":
         raise FormulaSyntaxError(trailing.pos, f"unexpected {_describe(trailing)} after the formula")
     return f
+
+
+def _depth_split_pair(line: str) -> tuple[str, str]:
+    """Split ``(BODY, HEAD)`` at the comma sitting directly inside the outer parens."""
+    stripped = line.strip()
+    if not stripped.startswith("(") or not stripped.endswith(")"):
+        raise ValueError("a norm is written (BODY, HEAD)")
+    inner = stripped[1:-1]
+    depth = 0
+    for i, c in enumerate(inner):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return inner[:i], inner[i + 1 :]
+    raise ValueError("missing ',' between body and head")
+
+
+def depth_parse_norms(text: str) -> NormSet:
+    """Read norm-file text, each comment-free line split by the depth scan."""
+    norms = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                body_text, head_text = _depth_split_pair(line)
+                norms.append(Norm(parse_formula(body_text), parse_formula(head_text)))
+            except ValueError as exc:  # FormulaSyntaxError is a ValueError
+                raise NormSyntaxError(lineno, str(exc)) from None
+    return NormSet(tuple(norms))

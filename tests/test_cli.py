@@ -40,6 +40,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "position 3" in err
 
+    def test_norm_file_syntax_error_names_its_column_in_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("(a, b||c)\n")
+        assert main(["check", "--norms", str(path), "--input", "a", "--goal", "b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 1: syntax error at position 7: ")
+        assert err.count("\n") == 1
+
     def test_missing_norms_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["check", "--norms", missing, "--input", "a", "--goal", "e"]) == 2
@@ -215,7 +224,8 @@ class TestNestingLimit:
         path = tmp_path / "deep.txt"
         path.write_text(f"(a, e)\n({nested_text(kind, depth)}, e)\n")
         assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
-        assert f"line 2: syntax error at position {position}" in capsys.readouterr().err
+        # The position counts from the start of the line, where the body starts at column 2.
+        assert f"line 2: syntax error at position {position + 1}" in capsys.readouterr().err
 
     def test_large_certificate_renders_structured_and_reads_back(self, tmp_path, capsys):
         """600 triggered norms conjoin 599 times; the flat certificate stays two levels

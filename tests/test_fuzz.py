@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from conftest import formulas
 from iolog import FormulaSyntaxError, NormSyntaxError, parse_formula, parse_norms, print_formula
 from iolog.cli import main
+from pointwise import depth_parse_norms
 
 TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=20)
 # Grammar tokens joined by spaces, so that some of it parses and the atoms stay
@@ -21,6 +22,9 @@ SOUP = st.lists(st.sampled_from(TOKENS), max_size=10).map(" ".join)
 FORMULA = st.one_of(formulas(max_leaves=6).map(print_formula), SOUP)
 NORM = st.tuples(FORMULA, FORMULA).map(lambda pair: f"({pair[0]}, {pair[1]})")
 NORM_TEXT = st.lists(st.one_of(NORM, NORM, SOUP), max_size=4).map("\n".join)
+# Single lines of the soup, bare or inside one pair of parentheses, and one-line norms.
+LINE = st.lists(st.sampled_from([t for t in TOKENS if t != "\n"]), max_size=10).map(" ".join)
+NORM_LINE = st.one_of(LINE, LINE.map("({})".format), NORM.filter(lambda t: "\n" not in t))
 
 # Each subcommand's options, with values that argparse accepts.
 OPTIONS = {
@@ -97,6 +101,19 @@ class TestParsers:
             parse_norms(text)
         except NormSyntaxError:
             pass
+
+    @given(NORM_LINE)
+    def test_the_comma_split_reads_a_line_as_the_depth_scan_did(self, text):
+        """The same lines are accepted, as the same norms, by the split at the first
+        comma and by the scan for the comma at parenthesis depth 0."""
+
+        def read(parse):
+            try:
+                return parse(text)
+            except NormSyntaxError as exc:
+                return "rejected", exc.line
+
+        assert read(parse_norms) == read(depth_parse_norms)
 
 
 class TestMain:

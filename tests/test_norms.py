@@ -62,6 +62,27 @@ class TestErrors:
             parse_norms("(a |, e)")
         assert "syntax error" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line, position",
+        [("(a, b||c)", 1, 7), ("  (a & , b)", 1, 8), ("(a, e)\n  (b, c||d)  # note\n", 2, 9)],
+        ids=["in-the-head", "at-the-comma", "second-file-line"],
+    )
+    def test_a_syntax_error_names_its_column_in_the_line(self, text, line, position):
+        with pytest.raises(NormSyntaxError) as err:
+            parse_norms(text)
+        assert err.value.line == line
+        assert err.value.reason.startswith(f"syntax error at position {position}: ")
+
+    def test_parse_norm_counts_the_position_from_the_start_of_its_text(self):
+        with pytest.raises(NormSyntaxError) as err:
+            parse_norm("\n (a,\n b||c)")
+        assert str(err.value).startswith("line 1: syntax error at position 10: ")
+
+    def test_the_first_comma_splits_the_pair_even_inside_a_comment(self):
+        with pytest.raises(NormSyntaxError):
+            parse_norm("(a # (x, y\n # ) \n, e)")
+        assert parse_norm("(a # note\n, e)") == Norm(A, E)
+
 
 class TestFiles:
     def test_load_norms_reads_utf8(self, tmp_path):

@@ -67,6 +67,16 @@ class TestWorldModel:
         with pytest.raises(ValueError):
             WorldModel(2, {"a": frozenset({2})})
 
+    @pytest.mark.parametrize("count", [True, 2.0, "2", None], ids=repr)
+    def test_the_world_count_is_an_int(self, count):
+        with pytest.raises(ValueError, match="int count"):
+            WorldModel(count, {})
+
+    @pytest.mark.parametrize("world", [True, False, 1.0], ids=repr)
+    def test_a_world_is_an_int(self, world):
+        with pytest.raises(ValueError, match="not an int"):
+            WorldModel(2, {"a": {world}})
+
     def test_extension_cannot_be_mutated(self):
         model = WorldModel(2, {"a": {0}})
         with pytest.raises(TypeError):
@@ -241,6 +251,14 @@ class TestFindCountermodel:
             again = find_countermodel(query, bound)
             assert again == first
             assert again.world_count <= 2
+
+    @pytest.mark.parametrize("bound", [1.5, 2.0, True, "2", 0], ids=repr)
+    def test_max_worlds_is_a_positive_int(self, bound):
+        query = LiftedQuery(TWO_NORMS, Or(A, B), E, "out1")
+        with pytest.raises(ValueError, match="max_worlds"):
+            find_countermodel(query, bound)
+        with pytest.raises(ValueError, match="max_worlds"):
+            lifted_verdict(TWO_NORMS, Or(A, B), E, max_worlds=bound)
 
     def test_an_atomless_search_stops_after_one_world(self):
         # Running every size up to a million worlds takes minutes.
