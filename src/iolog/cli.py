@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -33,26 +32,25 @@ __all__ = ["main"]
 
 
 class CliError(Exception):
-    """Bad flag or environment configuration."""
+    """A library error reworded to name the command line's remedy."""
 
 
-def _atom_limit(args: argparse.Namespace) -> int:
-    limit = args.atom_limit
-    if limit is None:
-        raw = os.environ.get("IOLOG_ATOM_LIMIT")
-        if raw is None:
-            return DEFAULT_ATOM_LIMIT
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise CliError(f"IOLOG_ATOM_LIMIT must be an integer, got {raw!r}") from None
-    return _positive(limit, "the atom limit")
-
-
-def _positive(value: int, what: str) -> int:
+def _bound(text: str) -> int:
+    """The type of every bound flag: an integer of at least 1, else argparse's usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise CliError(f"{what} must be positive")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+_BOUNDS = {  # each bound flag's default and help
+    "--atom-limit": (DEFAULT_ATOM_LIMIT, "most distinct atoms an entailment may involve"),
+    "--max-worlds": (4, "largest world count the countermodel search tries"),
+    "--budget": (DEFAULT_SEARCH_BUDGET, "guard on worlds x atoms before a size is enumerated"),
+}
 
 
 def _query(args: argparse.Namespace) -> tuple[NormSet, Formula, Formula]:
@@ -80,11 +78,10 @@ def _engine(name: str, max_worlds: int):
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    atom_limit = _atom_limit(args)
     norms, input, goal = _query(args)
-    decide, key, write = _engine(args.engine, _positive(args.max_worlds, "--max-worlds"))
+    decide, key, write = _engine(args.engine, args.max_worlds)
     try:
-        verdict = decide(norms, input, goal, atom_limit=atom_limit)
+        verdict = decide(norms, input, goal, atom_limit=args.atom_limit)
     except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
         fits = exc.budget // exc.atom_count
         hint = f"--max-worlds {fits} keeps within it" if fits else "countermodel --budget raises it"
@@ -122,18 +119,15 @@ def _check_text(report: dict) -> list[str]:
 
 def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     from .worlds import LiftedQuery, find_countermodel, world_model_to_dict
-    _atom_limit(args)  # validated for parity; the lifted search needs no limit
     norms, input, goal = _query(args)
-    max_worlds = _positive(args.max_worlds, "--max-worlds")
-
     query = LiftedQuery(norms, input, goal, args.mode)
-    model = find_countermodel(query, max_worlds, budget=_positive(args.budget, "--budget"))
+    model = find_countermodel(query, args.max_worlds, budget=args.budget)
 
     report = {
         "query": _query_doc(norms, input, goal, args.mode),
         "engine": "lifted",
         "holds": model is None,
-        "max_worlds": max_worlds,
+        "max_worlds": args.max_worlds,
     }
     if model is not None:
         report["countermodel"] = world_model_to_dict(model)
@@ -150,7 +144,7 @@ def _countermodel_text(report: dict) -> list[str]:
 
 def _cmd_naive(args: argparse.Namespace) -> tuple[dict, int]:
     from .worlds import naive_unfold_valid
-    atom_limit = _atom_limit(args)
+    atom_limit = args.atom_limit
     norms, input, goal = _query(args)
 
     naive = naive_unfold_valid(norms, input, goal, args.mode, atom_limit=atom_limit)
@@ -181,9 +175,7 @@ def _naive_text(report: dict) -> list[str]:
 
 def _cmd_examples(args: argparse.Namespace) -> tuple[dict, int]:
     from .reference import run_reference_matrix
-    atom_limit = _atom_limit(args)
-    max_worlds = _positive(args.max_worlds, "--max-worlds")
-    rows = run_reference_matrix(max_worlds=max_worlds, atom_limit=atom_limit)
+    rows = run_reference_matrix(max_worlds=args.max_worlds, atom_limit=args.atom_limit)
     mismatches = sum(not row.ok for row in rows)
     report = {"rows": [{**asdict(row), "ok": row.ok} for row in rows], "mismatches": mismatches}
     return report, 1 if mismatches else 0
@@ -199,19 +191,16 @@ def _examples_text(report: dict) -> list[str]:
     return lines + [f"{mismatches} mismatch(es)" if mismatches else "all outcomes match"]
 
 
-def _add_common(parser: argparse.ArgumentParser, *, with_query: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, *bounds: str, with_query: bool = True) -> None:
     if with_query:
         parser.add_argument("--norms", required=True, help="path to the norm-set file")
         parser.add_argument("--input", required=True, help="input situation formula")
         parser.add_argument("--goal", required=True, help="candidate output formula")
-    parser.add_argument(
-        "--atom-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"atom limit for entailment queries (default {DEFAULT_ATOM_LIMIT}; "
-        "IOLOG_ATOM_LIMIT overrides the default)",
-    )
+    for flag in bounds:
+        default, about = _BOUNDS[flag]
+        parser.add_argument(
+            flag, type=_bound, default=default, metavar="N", help=f"{about} (default {default})"
+        )
     parser.add_argument(
         "--format",
         choices=("text", "structured"),
@@ -229,41 +218,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="decide whether the goal is an output for the input")
-    _add_common(check)
+    _add_common(check, "--atom-limit", "--max-worlds")
     check.add_argument(
         "--engine",
         choices=("semantic", "derivation", "triple", "lifted"),
         default="semantic",
-        help="which engine decides membership",
-    )
-    check.add_argument(
-        "--max-worlds", type=int, default=4, metavar="N", help="search bound for engine=lifted"
+        help="which engine decides membership (only lifted reads --max-worlds)",
     )
     check.set_defaults(func=_cmd_check, text=_check_text)
 
     counter = sub.add_parser("countermodel", help="search for a finite countermodel")
-    _add_common(counter)
+    _add_common(counter, "--max-worlds", "--budget")
     counter.add_argument("--mode", choices=("outpre", "out1"), default="out1")
-    counter.add_argument("--max-worlds", type=int, default=4, metavar="N")
-    counter.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        metavar="N",
-        help="guard on worlds x atoms before a size is enumerated",
-    )
     counter.set_defaults(func=_cmd_countermodel, text=_countermodel_text)
 
     naive = sub.add_parser(
         "naive", help="classical validity of the naive Boolean unfolding, with contrast"
     )
-    _add_common(naive)
+    _add_common(naive, "--atom-limit")
     naive.add_argument("--mode", choices=("outpre", "out1"), default="out1")
     naive.set_defaults(func=_cmd_naive, text=_naive_text)
 
     examples = sub.add_parser("examples", help="run the built-in regression matrix")
-    _add_common(examples, with_query=False)
-    examples.add_argument("--max-worlds", type=int, default=4, metavar="N")
+    _add_common(examples, "--atom-limit", "--max-worlds", with_query=False)
     examples.set_defaults(func=_cmd_examples, text=_examples_text)
 
     return parser
@@ -290,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except MemoryError:
         pass  # report once the handler has dropped the traceback and the tables it holds
-    if args.command == "countermodel":  # the search ignores --atom-limit
+    if args.command == "countermodel":  # it has no --atom-limit
         hint = "a lower --budget bounds the search"
     else:
         hint = "a lower --atom-limit bounds the truth tables"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
-from .entail import DEFAULT_ATOM_LIMIT, _Tables, entails
+from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables, entails
 from .formula import TOP, And, Formula, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
 from .output import Verdict, _query_formulas, _triggered
@@ -152,6 +152,7 @@ def verify_derivation(
     right) and the first violation is reported; the conclusion/goal match
     is checked last.
     """
+    _guard(atom_limit, "atom_limit")  # also where no side condition asks for an entailment
     order, concluded = _walk(d)
     for position, (node, _, _, _) in enumerate(order):
         reason = _violation(norms, node, concluded, atom_limit)

@@ -33,6 +33,13 @@ DEFAULT_SEARCH_BUDGET = 24
 Valuation = Mapping[str, bool]
 
 
+def _guard(value: int, name: str, least: int = 0) -> int:
+    """``value``, checked as a guard: an int (not a bool) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int, at least {least}, got {value!r}")
+    return value
+
+
 class UnboundAtomError(LookupError):
     """An atom was evaluated against a valuation or model that does not map it."""
 
@@ -118,7 +125,8 @@ class _Tables:
     AtomLimitError only when its own atoms exceed the limit."""
 
     def __init__(self, formulas: Iterable[Formula], atom_limit: int, whole: bool = False):
-        self.atom_limit, self.names = atom_limit, sorted(_atom_names(formulas))
+        self.atom_limit = _guard(atom_limit, "atom_limit")
+        self.names = sorted(_atom_names(formulas))
         self.shared = whole or len(self.names) <= min(atom_limit, _JOINT_ATOMS)
         if self.shared:
             self.env, self.full = _valuation_masks(self.names, atom_limit)

@@ -87,7 +87,10 @@ def parse_norm(text: str, line: int = 1) -> Norm:
 def parse_norms(text: str) -> NormSet:
     """Parse norm-file text into a NormSet, preserving line order."""
     norms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # A line ends at \n, \r\n or \r only, as in open()'s universal newlines: str.splitlines
+    # also breaks at \x0c, \x85, U+2028 and others, which would end a comment early.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if line.strip():
             norms.append(parse_norm(line, lineno))

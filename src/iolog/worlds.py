@@ -24,7 +24,7 @@ from typing import Literal, Mapping
 
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
-from .entail import _truth_mask, _valuation_masks
+from .entail import _guard, _Tables, _truth_mask, _valuation_masks
 from .formula import Formula, _atom_names
 from .norms import NormSet
 from .output import Verdict, _query_formulas, triggered_heads
@@ -186,8 +186,8 @@ def find_countermodel(
     W worlds it takes the least arrangement (valuations from highest to
     lowest) of a falsifying set.  Absence past 2^n worlds is exact.
     """
-    if type(max_worlds) is not int or max_worlds < 1:
-        raise ValueError(f"max_worlds must be an int, at least 1, got {max_worlds!r}")
+    _guard(max_worlds, "max_worlds", 1)
+    _guard(budget, "budget")
     names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
@@ -249,9 +249,8 @@ def naive_unfold_valid(
     validates claims the real operation rejects.
     """
     query = LiftedQuery(norms, input, goal, mode)
-    names = sorted(_atom_names(_query_formulas(norms, input, goal)))
-    env, full = _valuation_masks(names, atom_limit)
-    return not _one_world_failures(mode, _masks(query, env, full))
+    tables = _Tables(_query_formulas(norms, input, goal), atom_limit, whole=True)
+    return not _one_world_failures(mode, _masks(query, tables.env, tables.full))
 
 
 def render_world_model(model: WorldModel) -> str:

@@ -24,6 +24,17 @@ def norms_file(tmp_path):
     return str(path)
 
 
+def usage_error(argv: list[str], capsys) -> str:
+    """What follows ``argument`` on the one error line of argparse's exit 2 for ``argv``."""
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exit.value.code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"iolog {argv[0]}: error: argument ")
+    return errors[0].split("error: argument ", 1)[1]
+
+
 class TestCheck:
     def test_holding_membership_exits_zero(self, norms_file, capsys):
         assert main(["check", "--norms", norms_file, "--input", "a", "--goal", "e"]) == 0
@@ -48,6 +59,14 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: line 1: syntax error at position 7: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"], ids=repr)
+    def test_a_comment_runs_to_the_newline(self, tmp_path, separator, capsys):
+        """Only \\n, \\r\\n and \\r end a norm-file line, so the comment hides ``(a, f)``."""
+        path = tmp_path / "commented.txt"
+        path.write_text(f"(a, e) # was:{separator}(a, f)\n", encoding="utf-8")
+        assert main(["check", "--norms", str(path), "--input", "a", "--goal", "f"]) == 1
+        assert capsys.readouterr().out.startswith("norms: (a, e)\n")
 
     def test_missing_norms_file_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
@@ -99,8 +118,7 @@ class TestCheck:
     ):
         argv = ["check", "--norms", norms_file, "--input", "a", "--goal", "e",
                 "--engine", engine, "--max-worlds", max_worlds]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: --max-worlds must be positive\n")
+        assert usage_error(argv, capsys) == f"--max-worlds: must be at least 1, got {max_worlds}"
 
     def test_every_engine_agrees_on_the_two_queries(self, norms_file):
         for engine in ("semantic", "derivation", "triple", "lifted"):
@@ -135,12 +153,56 @@ class TestCheck:
         assert [r["premises"] for r in doc["certificate"]["nodes"]] == [[], [0], [1]]
 
 
-class TestAtomLimit:
-    def test_env_var_overrides_default(self, norms_file, capsys, monkeypatch):
-        monkeypatch.setenv("IOLOG_ATOM_LIMIT", "1")
-        assert main(["check", "--norms", norms_file, "--input", "a", "--goal", "e"]) == 2
-        assert "atom limit" in capsys.readouterr().err
+# Each subcommand's bound flags.
+BOUND_FLAGS = [
+    ("check", "--atom-limit"),
+    ("check", "--max-worlds"),
+    ("countermodel", "--max-worlds"),
+    ("countermodel", "--budget"),
+    ("naive", "--atom-limit"),
+    ("examples", "--atom-limit"),
+    ("examples", "--max-worlds"),
+]
 
+
+class TestBounds:
+    @pytest.mark.parametrize("command, flag", BOUND_FLAGS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("0", "must be at least 1, got 0"),
+            ("-3", "must be at least 1, got -3"),
+            ("x", "invalid int value: 'x'"),
+            ("1.5", "invalid int value: '1.5'"),
+        ],
+    )
+    def test_a_bad_bound_is_one_argparse_error(
+        self, norms_file, command, flag, value, reason, capsys
+    ):
+        query = ["--norms", norms_file, "--input", "a", "--goal", "e"]
+        argv = [command, *(query if command != "examples" else []), flag, value]
+        assert usage_error(argv, capsys) == f"{flag}: {reason}"
+
+    def test_a_bad_bound_is_reported_before_a_missing_norm_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        argv = ["check", "--norms", missing, "--input", "a", "--goal", "e", "--max-worlds", "0"]
+        assert usage_error(argv, capsys) == "--max-worlds: must be at least 1, got 0"
+
+    def test_countermodel_has_no_atom_limit(self, norms_file, capsys):
+        argv = ["countermodel", "--norms", norms_file, "--input", "a", "--goal", "e",
+                "--atom-limit", "3"]
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --atom-limit 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1", "lots"])
+    def test_no_environment_variable_sets_the_atom_limit(self, norms_file, value, monkeypatch):
+        monkeypatch.setenv("IOLOG_ATOM_LIMIT", value)
+        assert main(["check", "--norms", norms_file, "--input", "a", "--goal", "e"]) == 0
+
+
+class TestAtomLimit:
     def test_flag_overrides_env_var(self, norms_file, monkeypatch):
         monkeypatch.setenv("IOLOG_ATOM_LIMIT", "1")
         rc = main(
@@ -148,11 +210,6 @@ class TestAtomLimit:
              "--atom-limit", "16"]
         )
         assert rc == 0
-
-    def test_garbage_env_var_is_a_config_error(self, norms_file, capsys, monkeypatch):
-        monkeypatch.setenv("IOLOG_ATOM_LIMIT", "lots")
-        assert main(["check", "--norms", norms_file, "--input", "a", "--goal", "e"]) == 2
-        assert "IOLOG_ATOM_LIMIT" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["semantic", "derivation"])
     @pytest.mark.parametrize("last, rc", [(16, 1), (17, 2)])
@@ -168,11 +225,8 @@ class TestAtomLimit:
         assert ("17 atoms" in err) == (rc == 2)
 
     def test_nonpositive_limit_rejected(self, norms_file, capsys):
-        rc = main(
-            ["check", "--norms", norms_file, "--input", "a", "--goal", "e",
-             "--atom-limit", "0"]
-        )
-        assert rc == 2
+        argv = ["check", "--norms", norms_file, "--input", "a", "--goal", "e", "--atom-limit", "0"]
+        assert usage_error(argv, capsys) == "--atom-limit: must be at least 1, got 0"
 
     @pytest.mark.parametrize("command", ["check", "naive"])
     def test_tables_beyond_memory_exit_two(self, tmp_path, command):
@@ -333,12 +387,9 @@ class TestCountermodel:
 
     def test_budget_below_one_is_a_config_error(self, norms_file, capsys):
         for budget in ("0", "-5"):
-            rc = main(
-                ["countermodel", "--norms", norms_file, "--input", "a", "--goal", "e",
-                 "--budget", budget]
-            )
-            assert rc == 2
-            assert "--budget must be positive" in capsys.readouterr().err
+            argv = ["countermodel", "--norms", norms_file, "--input", "a", "--goal", "e",
+                    "--budget", budget]
+            assert usage_error(argv, capsys) == f"--budget: must be at least 1, got {budget}"
 
     def test_structured_output_contains_model(self, norms_file, capsys):
         rc = main(

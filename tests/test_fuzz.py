@@ -26,24 +26,23 @@ NORM_TEXT = st.lists(st.one_of(NORM, NORM, SOUP), max_size=4).map("\n".join)
 LINE = st.lists(st.sampled_from([t for t in TOKENS if t != "\n"]), max_size=10).map(" ".join)
 NORM_LINE = st.one_of(LINE, LINE.map("({})".format), NORM.filter(lambda t: "\n" not in t))
 
-# Each subcommand's options, with values that argparse accepts.
+# Each subcommand's options, with values of their type; a bound below 1 is a usage error.
+ATOM_LIMIT = st.integers(-1, 6).map(str)
 OPTIONS = {
     "check": {
         "--engine": st.sampled_from(["semantic", "derivation", "triple", "lifted"]),
         "--max-worlds": st.integers(-1, 3).map(str),
+        "--atom-limit": ATOM_LIMIT,
     },
     "countermodel": {
         "--mode": st.sampled_from(["outpre", "out1"]),
         "--max-worlds": st.integers(-1, 3).map(str),
         "--budget": st.integers(-1, 9).map(str),
     },
-    "naive": {"--mode": st.sampled_from(["outpre", "out1"])},
-    "examples": {"--max-worlds": st.integers(-1, 3).map(str)},
+    "naive": {"--mode": st.sampled_from(["outpre", "out1"]), "--atom-limit": ATOM_LIMIT},
+    "examples": {"--max-worlds": st.integers(-1, 3).map(str), "--atom-limit": ATOM_LIMIT},
 }
-COMMON = {
-    "--format": st.sampled_from(["text", "structured"]),
-    "--atom-limit": st.integers(-1, 6).map(str),
-}
+COMMON = {"--format": st.sampled_from(["text", "structured"])}
 FLAGS = ["--norms", "--input", "--goal", *COMMON]
 FLAGS += [flag for options in OPTIONS.values() for flag in options]
 WORDS = st.one_of(
@@ -63,28 +62,20 @@ def commands(draw, norms):
     return [command, *(word for pair in flags.items() for word in pair)]
 
 
-def exit_code(argv, norm_bytes: bytes, env_limit: str | None = None) -> int:
+def exit_code(argv, norm_bytes: bytes) -> int:
     """What ``main`` returns or exits with; ``{norms}`` in argv names a file holding
     ``norm_bytes``, and ``{dir}`` the directory it is in."""
-    saved = os.environ.pop("IOLOG_ATOM_LIMIT", None)
-    if env_limit is not None:
-        os.environ["IOLOG_ATOM_LIMIT"] = env_limit
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "norms.txt")
-            with open(path, "wb") as handle:
-                handle.write(norm_bytes)
-            argv = [{"{norms}": path, "{dir}": tmp}.get(word, word) for word in argv]
-            quiet = io.StringIO()
-            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-                try:
-                    return main(argv)
-                except SystemExit as exit:  # argparse: usage errors and --help
-                    return exit.code
-    finally:
-        os.environ.pop("IOLOG_ATOM_LIMIT", None)
-        if saved is not None:
-            os.environ["IOLOG_ATOM_LIMIT"] = saved
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "norms.txt")
+        with open(path, "wb") as handle:
+            handle.write(norm_bytes)
+        argv = [{"{norms}": path, "{dir}": tmp}.get(word, word) for word in argv]
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            try:
+                return main(argv)
+            except SystemExit as exit:  # argparse: usage errors, bad bounds and --help
+                return exit.code
 
 
 class TestParsers:
@@ -127,7 +118,6 @@ class TestMain:
         st.one_of(commands("{norms}"), st.lists(WORDS, max_size=8)),
         st.lists(st.one_of(WORDS, st.sampled_from(["{norms}", "{dir}", "none.txt"])), max_size=2),
         st.one_of(NORM_TEXT.map(str.encode), st.binary(max_size=20)),
-        st.one_of(st.none(), st.integers(-1, 20).map(str), TEXT),
     )
-    def test_any_argv_file_and_environment_exit_0_1_or_2(self, argv, extra, norm_bytes, env_limit):
-        assert exit_code(argv + extra, norm_bytes, env_limit) in (0, 1, 2)
+    def test_any_argv_and_file_exit_0_1_or_2(self, argv, extra, norm_bytes):
+        assert exit_code(argv + extra, norm_bytes) in (0, 1, 2)

@@ -75,6 +75,15 @@ def test_report_bytes(argv, golden, tmp_path):
 
 
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_no_environment_variable_changes_a_report(argv, golden, tmp_path, monkeypatch):
+    """``IOLOG_ATOM_LIMIT`` is not read: with it set, each report keeps its golden bytes."""
+    monkeypatch.setenv("IOLOG_ATOM_LIMIT", "1")
+    path = tmp_path / "norms.txt"
+    path.write_text(NORMS, encoding="utf-8")
+    assert run(argv, str(path)) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_report_is_a_json_document(argv, tmp_path):
     """The report survives ``json.dumps`` and ``json.loads`` unchanged, and the text
     format renders the same lines from the loaded copy as from the original."""

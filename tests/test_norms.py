@@ -41,6 +41,21 @@ class TestParsing:
         ns = parse_norms("((a | b) & a, e)")
         assert len(ns) == 1
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x0c", "\x85"], ids=repr)
+    def test_a_line_ends_only_at_a_newline(self, separator):
+        """str.splitlines also breaks at these; a comment runs on past them."""
+        assert parse_norms(f"(a, e) # was:{separator}(a, f)").norms == (Norm(A, E),)
+        with pytest.raises(NormSyntaxError) as err:
+            parse_norms(f"(a, e){separator}(b, e)\n(b, e)")
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+    def test_crlf_and_cr_end_a_line(self, newline):
+        assert parse_norms(f"(a, e){newline}(b, e){newline}").norms == (Norm(A, E), Norm(B, E))
+        with pytest.raises(NormSyntaxError) as err:
+            parse_norms(f"# duties{newline}{newline}(a, e){newline}(b e){newline}")
+        assert err.value.line == 4
+
 
 class TestErrors:
     def test_missing_comma(self):
