@@ -13,9 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from functools import partial
 from typing import Sequence
 
@@ -177,7 +175,8 @@ def _cmd_examples(args: argparse.Namespace) -> tuple[dict, int]:
     from .reference import run_reference_matrix
     rows = run_reference_matrix(max_worlds=args.max_worlds, atom_limit=args.atom_limit)
     mismatches = sum(not row.ok for row in rows)
-    report = {"rows": [{**asdict(row), "ok": row.ok} for row in rows], "mismatches": mismatches}
+    records = [{name: getattr(row, name) for name in (*row._fields, "ok")} for row in rows]
+    report = {"rows": records, "mismatches": mismatches}
     return report, 1 if mismatches else 0
 
 
@@ -250,8 +249,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
-        structured = args.format == "structured"
-        print(json.dumps(report, indent=2) if structured else "\n".join(args.text(report)))
+        if args.format == "structured":
+            import json  # only here: a text report does not load it
+            print(json.dumps(report, indent=2))
+        else:
+            print("\n".join(args.text(report)))
         return code
     except (
         CliError,

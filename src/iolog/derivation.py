@@ -13,12 +13,11 @@ weaken to the goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
 from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables, entails
-from .formula import TOP, And, Formula, parse_formula, print_formula
+from .formula import TOP, And, Formula, _Value, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
 from .output import Verdict, _query_formulas, _triggered
 
@@ -41,45 +40,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Value):
     """Base class of proof-tree nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class TopIntro(Derivation):
     """Axiom: concludes (true, true)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class AxiomLeaf(Derivation):
     """Leaf concluding one of the given norms; membership is checked, not assumed."""
 
-    norm: Norm
+    __slots__ = ("norm",)
+
+    def __init__(self, norm: Norm):
+        object.__setattr__(self, "norm", norm)
 
 
-@dataclass(frozen=True)
 class SO(Derivation):
     """From (a, b) conclude (a, output), provided b entails output."""
 
-    premise: Derivation
-    output: Formula
+    __slots__ = ("premise", "output")
+
+    def __init__(self, premise: Derivation, output: Formula):
+        object.__setattr__(self, "premise", premise)
+        object.__setattr__(self, "output", output)
 
 
-@dataclass(frozen=True)
 class WI(Derivation):
     """From (b, c) conclude (input, c), provided input entails b."""
 
-    premise: Derivation
-    input: Formula
+    __slots__ = ("premise", "input")
+
+    def __init__(self, premise: Derivation, input: Formula):
+        object.__setattr__(self, "premise", premise)
+        object.__setattr__(self, "input", input)
 
 
-@dataclass(frozen=True)
 class AND(Derivation):
     """From (a, b) and (a, c) conclude (a, b & c); bodies must be structurally identical."""
 
-    left: Derivation
-    right: Derivation
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Derivation, right: Derivation):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 # Each rule's tag; the attributes holding its premises, left first; the attribute holding
@@ -127,12 +136,14 @@ def conclusion(d: Derivation) -> Norm:
     return _walk(d)[1][id(d)]
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(_Value):
     """First rejected node: its attribute path from the root and the violated condition."""
 
-    path: tuple[str, ...]
-    reason: str
+    __slots__ = ("path", "reason")
+
+    def __init__(self, path: tuple[str, ...], reason: str):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self) -> str:
         where = "root" + "".join(f".{step}" for step in self.path)

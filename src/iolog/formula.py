@@ -18,7 +18,7 @@ normalisation or simplification is ever applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -52,54 +52,138 @@ class FormulaSyntaxError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+class _Value:
+    """Base of iolog's immutable values.  A class names its fields in a tuple
+    ``__slots__`` and sets them in its ``__init__`` by ``object.__setattr__``; from the
+    slots this base derives ``_fields`` and ``__match_args__``, base-class fields first,
+    and defines ``==`` (same class, same field values), ``hash`` (of the field tuple),
+    a ``repr`` such as ``Not(operand=Atom(name='a'))``, pickling by value, and
+    ``FrozenInstanceError`` on assignment and deletion.  A class that hot paths hash or
+    compare writes ``__eq__`` and ``__hash__`` out straight-line instead."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+        cls._fields = cls.__match_args__ = fields
+        if len(fields) > 1:  # the field tuple, read by attrgetter without running Python code
+            cls._values = property(attrgetter(*fields))
+        else:
+            cls._values = property(lambda self: tuple(map(self.__getattribute__, fields)))
+        if vars(cls).get("__slots__"):  # a class that adds fields compares and hashes by all
+            for name in ("__eq__", "__hash__"):
+                if name not in vars(cls):
+                    setattr(cls, name, vars(_Value)[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only on this error path
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Formula(_Value):
     """Base class of all formula nodes."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_NAME.fullmatch(self.name) or self.name in _CONSTANTS:
-            raise ValueError(f"invalid atom name {self.name!r}")
+    def __init__(self, name: str):
+        if not _ATOM_NAME.fullmatch(name) or name in _CONSTANTS:
+            raise ValueError(f"invalid atom name {name!r}")
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        object.__setattr__(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.operand,) == (other.operand,)
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The two-operand nodes' fields; each connective is its own subclass."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 TOP = Top()
@@ -141,8 +225,8 @@ def _as_node(f: Formula) -> Formula:
     for cls in _NODES:
         if isinstance(f, cls):
             node = object.__new__(cls)
-            for field in fields(cls):
-                object.__setattr__(node, field.name, getattr(f, field.name))
+            for name in cls._fields:
+                object.__setattr__(node, name, getattr(f, name))
             return node
     raise TypeError(f"not a formula: {f!r}")
 

@@ -8,10 +8,9 @@ duplicates are permitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .formula import Formula, FormulaSyntaxError, parse_formula, print_formula
+from .formula import Formula, FormulaSyntaxError, _Value, parse_formula, print_formula
 
 __all__ = [
     "Norm",
@@ -33,22 +32,31 @@ class NormSyntaxError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class Norm:
+class Norm(_Value):
     """A conditional norm: when ``body`` holds, ``head`` is obligatory."""
 
-    body: Formula
-    head: Formula
+    __slots__ = ("body", "head")
+
+    def __init__(self, body: Formula, head: Formula):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "head", head)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.body, self.head) == (other.body, other.head)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.head))
 
 
-@dataclass(frozen=True, slots=True)
-class NormSet:
+class NormSet(_Value):
     """A finite, ordered collection of norms; iteration follows source order."""
 
-    norms: tuple[Norm, ...] = ()
+    __slots__ = ("norms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "norms", tuple(self.norms))
+    def __init__(self, norms: Iterable[Norm] = ()):
+        object.__setattr__(self, "norms", tuple(norms))
 
     def __iter__(self) -> Iterator[Norm]:
         return iter(self.norms)

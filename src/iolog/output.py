@@ -16,12 +16,11 @@ against the world-lifted encodings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
-from .formula import And, Formula
+from .formula import And, Formula, _Value
 from .norms import Norm, NormSet
 
 if TYPE_CHECKING:  # certificate types; imported lazily to avoid cycles
@@ -38,17 +37,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of a membership query: the boolean, which engine decided it,
     the triggered heads it saw, and a certificate when one exists (a
     derivation tree for positive proof-theoretic answers, a countermodel
     for negative lifted ones)."""
 
-    holds: bool
-    engine: str
-    triggered: frozenset[Formula] = frozenset()
-    certificate: "Derivation | WorldModel | None" = None
+    __slots__ = ("holds", "engine", "triggered", "certificate")
+
+    def __init__(
+        self,
+        holds: bool,
+        engine: str,
+        triggered: frozenset[Formula] = frozenset(),
+        certificate: "Derivation | WorldModel | None" = None,
+    ):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "triggered", triggered)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def _query_formulas(norms: NormSet, input: Formula, goal: Formula) -> tuple[Formula, ...]:

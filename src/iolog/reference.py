@@ -11,11 +11,9 @@ any engine shows up as a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import derivation, output, worlds
 from .entail import DEFAULT_ATOM_LIMIT
-from .formula import Formula, parse_formula
+from .formula import Formula, _Value, parse_formula
 from .norms import Norm, NormSet, parse_norms
 
 __all__ = ["REFERENCE_NORMS", "MatrixRow", "run_reference_matrix"]
@@ -23,12 +21,14 @@ __all__ = ["REFERENCE_NORMS", "MatrixRow", "run_reference_matrix"]
 REFERENCE_NORMS = parse_norms("(a, e)\n(b, e)")
 
 
-@dataclass(frozen=True)
-class MatrixRow:
-    example: str
-    engine: str
-    expected: bool
-    actual: bool
+class MatrixRow(_Value):
+    __slots__ = ("example", "engine", "expected", "actual")
+
+    def __init__(self, example: str, engine: str, expected: bool, actual: bool):
+        object.__setattr__(self, "example", example)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def ok(self) -> bool:

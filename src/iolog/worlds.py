@@ -18,14 +18,13 @@ approximation in :mod:`iolog.output`; the exact operation lives there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Literal, Mapping
 
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _guard, _Tables, _truth_mask, _valuation_masks
-from .formula import Formula, _atom_names
+from .formula import Formula, _atom_names, _Value
 from .norms import NormSet
 from .output import Verdict, _query_formulas, triggered_heads
 
@@ -48,23 +47,22 @@ __all__ = [
 Mode = Literal["outpre", "out1"]
 
 
-@dataclass(frozen=True)
-class WorldModel:
+class WorldModel(_Value):
     """A non-empty finite world set plus a read-only map from atoms to the worlds they hold in."""
 
-    world_count: int
-    extension: Mapping[str, frozenset[int]]
+    __slots__ = ("world_count", "extension")
 
-    def __post_init__(self):
+    def __init__(self, world_count: int, extension: Mapping[str, frozenset[int]]):
         # Counts and worlds are ints, not bools: True would equal world 1 but print as wTrue.
-        if type(self.world_count) is not int or self.world_count < 1:
+        if type(world_count) is not int or world_count < 1:
             raise ValueError(f"a world model needs an int count of worlds, at least 1, "
-                             f"got {self.world_count!r}")
-        frozen = {name: frozenset(worlds) for name, worlds in self.extension.items()}
+                             f"got {world_count!r}")
+        frozen = {name: frozenset(worlds) for name, worlds in extension.items()}
         for name, worlds in frozen.items():
-            if not all(type(w) is int and 0 <= w < self.world_count for w in worlds):
+            if not all(type(w) is int and 0 <= w < world_count for w in worlds):
                 raise ValueError(f"extension of {name!r} mentions a world that is not an int "
-                                 f"in range({self.world_count})")
+                                 f"in range({world_count})")
+        object.__setattr__(self, "world_count", world_count)
         object.__setattr__(self, "extension", MappingProxyType(frozen))
 
     def __hash__(self) -> int:
@@ -78,18 +76,18 @@ class WorldModel:
         return frozenset(range(self.world_count))
 
 
-@dataclass(frozen=True)
-class LiftedQuery:
+class LiftedQuery(_Value):
     """A membership question posed to the lifted encodings or the naive unfolding."""
 
-    norms: NormSet
-    input: Formula
-    goal: Formula
-    mode: Mode
+    __slots__ = ("norms", "input", "goal", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("outpre", "out1"):
-            raise ValueError(f"unknown mode {self.mode!r}; expected 'outpre' or 'out1'")
+    def __init__(self, norms: NormSet, input: Formula, goal: Formula, mode: Mode):
+        if mode not in ("outpre", "out1"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'outpre' or 'out1'")
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "mode", mode)
 
 
 def _model_masks(model: WorldModel) -> tuple[dict[str, int], int]:

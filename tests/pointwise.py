@@ -20,13 +20,16 @@ loop over the characters that spells out each symbol, as iolog's
 tokenizer did before it read the same tables.  ``depth_parse_norms`` reads
 a norm file as iolog did before a norm's one comma split it: a scan that
 counts parenthesis depth finds the comma directly inside the outer
-parentheses.
+parentheses.  The ``Dataclass`` classes are the formula nodes, ``Norm`` and
+``NormSet`` as iolog defined them before its values shared one slotted base:
+frozen slotted dataclasses, which print under iolog's class names.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass, fields
 from functools import reduce
 
 from conftest import oracle_atoms, oracle_entails, oracle_eval, oracle_valuations
@@ -532,3 +535,79 @@ def depth_parse_norms(text: str) -> NormSet:
             except ValueError as exc:  # FormulaSyntaxError is a ValueError
                 raise NormSyntaxError(lineno, str(exc)) from None
     return NormSet(tuple(norms))
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassFormula:
+    """Base class of all formula nodes."""
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassAtom(DataclassFormula):
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassTop(DataclassFormula):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassBottom(DataclassFormula):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassNot(DataclassFormula):
+    operand: DataclassFormula
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassAnd(DataclassFormula):
+    left: DataclassFormula
+    right: DataclassFormula
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassOr(DataclassFormula):
+    left: DataclassFormula
+    right: DataclassFormula
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassImplies(DataclassFormula):
+    left: DataclassFormula
+    right: DataclassFormula
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassNorm:
+    body: DataclassFormula
+    head: DataclassFormula
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassNormSet:
+    norms: tuple[DataclassNorm, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "norms", tuple(self.norms))
+
+
+_DATACLASSES = {
+    Atom: DataclassAtom, Top: DataclassTop, Bottom: DataclassBottom, Not: DataclassNot,
+    And: DataclassAnd, Or: DataclassOr, Implies: DataclassImplies, Norm: DataclassNorm,
+    NormSet: DataclassNormSet,
+}
+for _reference in _DATACLASSES.values():
+    _reference.__qualname__ = _reference.__name__.removeprefix("Dataclass")  # read by repr
+
+
+def as_dataclass(value):
+    """A formula, norm or norm set rebuilt from the ``Dataclass`` classes, field by field."""
+    if type(value) is tuple:
+        return tuple(map(as_dataclass, value))
+    if type(value) not in _DATACLASSES:
+        return value  # an atom's name
+    cls = _DATACLASSES[type(value)]
+    return cls(*(as_dataclass(getattr(value, field.name)) for field in fields(cls)))

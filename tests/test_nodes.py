@@ -1,27 +1,36 @@
-"""Formula and norm values: slotted frozen dataclasses, and subclasses of the
-node classes, which every walk treats as the node class they derive from."""
+"""iolog's values: frozen slotted classes on one shared base, and subclasses of the
+formula node classes, which every walk treats as the node class they derive from."""
 
 import pickle
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
 
-from conftest import formulas, oracle_atoms, oracle_entails, oracle_eval
-from pointwise import recursive_print_formula
+from conftest import formulas, norm_sets, oracle_atoms, oracle_entails, oracle_eval
+from pointwise import as_dataclass, recursive_print_formula
 from iolog import (
+    AND,
     BOTTOM,
+    SO,
     TOP,
+    WI,
     And,
     Atom,
+    AxiomLeaf,
     Bottom,
+    CheckFailure,
     Implies,
+    LiftedQuery,
     Norm,
     NormSet,
     Not,
     Or,
     Top,
+    TopIntro,
+    Verdict,
+    WorldModel,
     atoms,
     counterexample_valuation,
     entails,
@@ -30,10 +39,24 @@ from iolog import (
     parse_formula,
     print_formula,
 )
+from iolog.reference import MatrixRow
 
 A, B = Atom("a"), Atom("b")
+LEAF = AxiomLeaf(Norm(A, B))
+MODEL = WorldModel(2, {"a": {0}, "b": {0, 1}})
 VALUES = (
-    A, TOP, BOTTOM, Not(A), And(A, B), Or(A, B), Implies(A, B), Norm(A, B), NormSet((Norm(A, B),))
+    A, TOP, BOTTOM, Not(A), And(A, B), Or(A, B), Implies(A, B), Norm(A, B), NormSet((Norm(A, B),)),
+    Verdict(True, "derivation", frozenset({B}), SO(WI(LEAF, A), B)),
+    Verdict(False, "lifted", frozenset(), MODEL),
+    MODEL,
+    LiftedQuery(NormSet((Norm(A, B),)), A, B, "out1"),
+    TopIntro(),
+    LEAF,
+    SO(TopIntro(), TOP),
+    WI(LEAF, A),
+    AND(LEAF, LEAF),
+    CheckFailure(("premise",), "no"),
+    MatrixRow("out1: e from a", "semantic", True, True),
 )
 
 
@@ -41,9 +64,14 @@ class Conjunction(And):
     """A plain subclass: it gains a ``__dict__`` but no fields."""
 
 
-@dataclass(frozen=True)
 class TaggedAtom(Atom):
-    tag: str = ""
+    """A subclass with a field of its own."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, name: str, tag: str = ""):
+        super().__init__(name)
+        object.__setattr__(self, "tag", tag)
 
 
 def subclassed(f):
@@ -64,11 +92,18 @@ class TestSlots:
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):
             object.__setattr__(value, "extra", 1)
-        # CPython 3.10-3.13 raise TypeError here for a frozen slotted dataclass.
-        with pytest.raises((FrozenInstanceError, TypeError)):
+        with pytest.raises(FrozenInstanceError):
             value.extra = 1
         with pytest.raises(TypeError):
             weakref.ref(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, value):
+        for name in (*type(value).__match_args__, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_pickle_round_trips(self, value):
@@ -95,6 +130,22 @@ class TestSlots:
             "NormSet(norms=(Norm(body=Atom(name='a'), head=Atom(name='b')),))"
         )
 
+    def test_repr_and_match_args_of_the_other_values(self):
+        assert repr(SO(WI(TopIntro(), A), TOP)) == (
+            "SO(premise=WI(premise=TopIntro(), input=Atom(name='a')), output=Top())"
+        )
+        assert repr(CheckFailure(("left",), "no")) == "CheckFailure(path=('left',), reason='no')"
+        assert repr(Verdict(False, "semantic")) == (
+            "Verdict(holds=False, engine='semantic', triggered=frozenset(), certificate=None)"
+        )
+        assert repr(WorldModel(1, {"a": {0}})) == (
+            "WorldModel(world_count=1, extension=mappingproxy({'a': frozenset({0})}))"
+        )
+        assert Verdict.__match_args__ == ("holds", "engine", "triggered", "certificate")
+        assert LiftedQuery.__match_args__ == ("norms", "input", "goal", "mode")
+        assert MatrixRow.__match_args__ == ("example", "engine", "expected", "actual")
+        assert (AND.__match_args__, TopIntro.__match_args__) == (("left", "right"), ())
+
     def test_match_patterns(self):
         match parse_formula("a -> !(b | true)"):
             case Implies(Atom(x), Not(Or(Atom(y), Top()))):
@@ -106,6 +157,35 @@ class TestSlots:
                 assert h == B
             case _:
                 pytest.fail("pattern did not match")
+        match out1_member(NormSet((Norm(A, B),)), A, B):
+            case Verdict(True, "semantic", triggered):
+                assert triggered == {B}
+            case _:
+                pytest.fail("pattern did not match")
+
+
+class TestAgainstDataclasses:
+    """Formulas, norms and norm sets against the frozen slotted dataclasses they were:
+    ``repr``, ``hash``, ``==``, ``!=`` and ``__match_args__`` agree."""
+
+    @staticmethod
+    def agree(values):
+        references = [as_dataclass(v) for v in values]
+        for value, reference in zip(values, references):
+            assert repr(value) == repr(reference) and hash(value) == hash(reference)
+            assert type(value).__match_args__ == type(reference).__match_args__
+            for other, other_reference in zip(values, references):
+                assert (value == other) == (reference == other_reference)
+                assert (value != other) == (reference != other_reference)
+
+    @given(formulas(("a", "b"), max_leaves=4), formulas(("a", "b"), max_leaves=4))
+    def test_formulas_and_norms(self, f, g):
+        copy = parse_formula(print_formula(f))  # equal to f, not the same object
+        self.agree([f, g, copy, Norm(f, g), Norm(copy, g), Norm(g, f)])
+
+    @given(norm_sets(("a", "b"), max_norms=3), norm_sets(("a", "b"), max_norms=3))
+    def test_norm_sets(self, norms, others):
+        self.agree([norms, others, NormSet(list(norms)), *norms, *others])
 
 
 class TestSubclasses:
@@ -126,6 +206,15 @@ class TestSubclasses:
     def test_print_as_their_base_class(self, f):
         sf = subclassed(f)
         assert print_formula(sf) == recursive_print_formula(sf) == print_formula(f)
+
+    def test_a_field_of_a_subclass_counts(self):
+        x, y = TaggedAtom("a", tag="x"), TaggedAtom("a", tag="y")
+        assert x != y and x == TaggedAtom("a", "x") and hash(x) == hash(("a", "x"))
+        assert repr(x) == "TaggedAtom(name='a', tag='x')"
+        assert TaggedAtom.__match_args__ == ("name", "tag")
+        assert pickle.loads(pickle.dumps(x)) == x
+        with pytest.raises(FrozenInstanceError):
+            x.tag = "y"
 
     def test_subclass_nodes_in_norms(self):
         norms = NormSet((Norm(TaggedAtom("a"), Conjunction(A, B)),))

@@ -1,5 +1,7 @@
 """The lazy package: ``import iolog`` loads no layer, and the first lookup of a
-name it does not hold loads the six layers and binds every public name.
+name it does not hold loads the six layers and binds every public name.  No
+command-line run loads ``dataclasses`` or ``inspect``, and only a structured
+report loads ``json``.
 
 Each check runs in a fresh interpreter, where nothing has loaded a layer yet.
 """
@@ -9,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import iolog
 from test_api import PUBLIC_NAMES
@@ -31,6 +35,35 @@ def test_import_loads_no_layer():
         print(sorted(m for m in sys.modules if m.split(".")[0] == "iolog"))
     """)
     assert out == "['iolog']\n"
+
+
+@pytest.mark.parametrize("format", ["text", "structured"])
+def test_no_run_loads_dataclasses_or_inspect_and_only_structured_loads_json(tmp_path, format):
+    """Each module is compared with ``sys.modules`` before ``import iolog``, since
+    ``site`` may have loaded it already."""
+    norms = tmp_path / "duties.norms"
+    norms.write_text("(a, e)\n(b, e)\n")
+    out = run_fresh(f"""
+        import os
+        import sys
+        before = set(sys.modules)
+        import iolog.cli
+        query = ["--norms", {str(norms)!r}, "--input", "a | b", "--goal", "e"]
+        query += ["--format", {format!r}]
+        runs = [["check", "--engine", engine, *query]
+                for engine in ("semantic", "derivation", "triple", "lifted")]
+        runs += [["countermodel", *query], ["naive", *query], ["examples", "--format", {format!r}]]
+        sys.stdout = open(os.devnull, "w")
+        for argv in runs:
+            iolog.cli.main(argv)
+            new = set(sys.modules) - before
+            loaded = [m for m in ("dataclasses", "inspect", "json") if m in new]
+            print(*argv[:3], loaded, file=sys.__stdout__)
+    """)
+    lines = out.splitlines()
+    assert len(lines) == 7
+    allowed = "[]" if format == "text" else ("[]", "['json']")
+    assert all(line.endswith(allowed) for line in lines), out
 
 
 def test_one_lookup_binds_every_public_name():
