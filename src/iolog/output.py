@@ -16,7 +16,6 @@ against the world-lifted encodings.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
@@ -120,8 +119,20 @@ def out1_member_multi(
     inputs = tuple(inputs)
     if not inputs:
         raise ValueError("empty input collection: supply at least one input formula")
-    combined = reduce(And, inputs)
-    return out1_member(norms, combined, goal, atom_limit=atom_limit)
+    while len(inputs) > 1:  # pairwise, so the conjunction is log2(n) deep
+        inputs = (*map(And, inputs[::2], inputs[1::2]), *inputs[len(inputs) & ~1:])
+    return out1_member(norms, inputs[0], goal, atom_limit=atom_limit)
+
+
+def _semantic_holds(
+    norms: NormSet, input: Formula, goal: Formula, mode: str, *, atom_limit: int = DEFAULT_ATOM_LIMIT
+) -> bool:
+    """The sound answer that ``naive`` and the regression matrix set against the
+    naive unfolding: out1 membership, or for outpre the goal among the triggered
+    heads, a syntactic reading."""
+    if mode == "out1":
+        return out1_member(norms, input, goal, atom_limit=atom_limit).holds
+    return goal in triggered_heads(norms, input, atom_limit=atom_limit)
 
 
 def out1_triple_approx(

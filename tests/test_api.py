@@ -5,7 +5,6 @@ import pytest
 
 import iolog
 from iolog import derivation, entail, formula, norms, output, worlds
-from iolog.reference import run_reference_matrix
 
 LAYERS = (formula, norms, entail, output, derivation, worlds)
 
@@ -117,7 +116,6 @@ GUARDED = {
         "check_derivation of a leaf": lambda **g: iolog.check_derivation(G, LEAF, LEAF.norm, **g),
         "lifted_verdict": lambda **g: iolog.lifted_verdict(G, A, E, **g),
         "naive_unfold_valid": lambda **g: iolog.naive_unfold_valid(G, A, E, "out1", **g),
-        "run_reference_matrix": lambda **g: run_reference_matrix(**g),
     },
     "budget": {
         "find_countermodel": lambda **g: iolog.find_countermodel(
@@ -130,7 +128,6 @@ GUARDED = {
             iolog.LiftedQuery(G, A, E, "out1"), **g
         ),
         "lifted_verdict": lambda **g: iolog.lifted_verdict(G, A, E, **g),
-        "run_reference_matrix": lambda **g: run_reference_matrix(**g),
     },
 }
 CASES = [(guard, name) for guard, calls in GUARDED.items() for name in calls]

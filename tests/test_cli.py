@@ -10,11 +10,13 @@ import pytest
 
 import iolog
 import iolog.derivation
+import iolog.reference
 import iolog.worlds
 from conftest import NESTINGS, TOO_DEEP, nested_text
 from iolog import SO, TOP, WI, Norm, TopIntro
 from iolog.cli import main
 from iolog.formula import MAX_DEPTH
+from iolog.reference import run_reference_matrix
 
 
 @pytest.fixture
@@ -160,8 +162,6 @@ BOUND_FLAGS = [
     ("countermodel", "--max-worlds"),
     ("countermodel", "--budget"),
     ("naive", "--atom-limit"),
-    ("examples", "--atom-limit"),
-    ("examples", "--max-worlds"),
 ]
 
 
@@ -180,8 +180,7 @@ class TestBounds:
         self, norms_file, command, flag, value, reason, capsys
     ):
         query = ["--norms", norms_file, "--input", "a", "--goal", "e"]
-        argv = [command, *(query if command != "examples" else []), flag, value]
-        assert usage_error(argv, capsys) == f"{flag}: {reason}"
+        assert usage_error([command, *query, flag, value], capsys) == f"{flag}: {reason}"
 
     def test_a_bad_bound_is_reported_before_a_missing_norm_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
@@ -195,6 +194,14 @@ class TestBounds:
             main(argv)
         assert exit.value.code == 2
         assert "unrecognized arguments: --atom-limit 3" in capsys.readouterr().err
+
+    def test_examples_has_no_bound_flags(self, capsys):
+        """The regression matrix runs at fixed bounds."""
+        for argv in (["--atom-limit", "3"], ["--max-worlds", "2"]):
+            with pytest.raises(SystemExit) as exit:
+                main(["examples", *argv])
+            assert exit.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["1", "lots"])
     def test_no_environment_variable_sets_the_atom_limit(self, norms_file, value, monkeypatch):
@@ -452,6 +459,8 @@ class TestExamples:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mismatches"] == 0
         assert len(doc["rows"]) == 16
+        assert doc["rows"] == run_reference_matrix()
+        assert {tuple(row) for row in doc["rows"]} == {("example", "engine", "expected", "actual", "ok")}
 
     def test_catches_a_constructor_without_side_conditions(self, capsys, monkeypatch):
         """A builder that applies SO without its entailment side condition
@@ -473,6 +482,16 @@ class TestExamples:
         monkeypatch.setattr(iolog.worlds, "naive_unfold_valid", inverted)
         assert main(["examples"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_out_of_memory_names_no_flag(self, capsys, monkeypatch):
+        """The matrix takes no bound flag, so its out-of-memory line suggests none."""
+
+        def exhausted():
+            raise MemoryError
+
+        monkeypatch.setattr(iolog.reference, "run_reference_matrix", exhausted)
+        assert main(["examples"]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestDeterminism:

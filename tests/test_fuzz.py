@@ -40,7 +40,7 @@ OPTIONS = {
         "--budget": st.integers(-1, 9).map(str),
     },
     "naive": {"--mode": st.sampled_from(["outpre", "out1"]), "--atom-limit": ATOM_LIMIT},
-    "examples": {"--max-worlds": st.integers(-1, 3).map(str), "--atom-limit": ATOM_LIMIT},
+    "examples": {},
 }
 COMMON = {"--format": st.sampled_from(["text", "structured"])}
 FLAGS = ["--norms", "--input", "--goal", *COMMON]

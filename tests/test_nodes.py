@@ -39,7 +39,6 @@ from iolog import (
     parse_formula,
     print_formula,
 )
-from iolog.reference import MatrixRow
 
 A, B = Atom("a"), Atom("b")
 LEAF = AxiomLeaf(Norm(A, B))
@@ -56,7 +55,6 @@ VALUES = (
     WI(LEAF, A),
     AND(LEAF, LEAF),
     CheckFailure(("premise",), "no"),
-    MatrixRow("out1: e from a", "semantic", True, True),
 )
 
 
@@ -143,7 +141,6 @@ class TestSlots:
         )
         assert Verdict.__match_args__ == ("holds", "engine", "triggered", "certificate")
         assert LiftedQuery.__match_args__ == ("norms", "input", "goal", "mode")
-        assert MatrixRow.__match_args__ == ("example", "engine", "expected", "actual")
         assert (AND.__match_args__, TopIntro.__match_args__) == (("left", "right"), ())
 
     def test_match_patterns(self):

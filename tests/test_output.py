@@ -98,6 +98,11 @@ class TestOut1MemberMulti:
         ns = parse_norms("(a, e)")
         assert out1_member_multi(ns, [A, Not(A)], E).holds is True
 
+    def test_long_collections_fold_without_deep_recursion(self):
+        """3000 inputs fold pairwise, about 12 conjunctions deep, not 3000."""
+        assert out1_member_multi(parse_norms("(a, e)"), [A] * 3000, E).holds is True
+        assert out1_member_multi(parse_norms("(b, e)"), [A] * 2999 + [B], E).holds is True
+
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             out1_member_multi(TWO_NORMS, [], E)
@@ -106,7 +111,7 @@ class TestOut1MemberMulti:
         rng = random.Random(23)
         for _ in range(50):
             ns = random_norm_set(rng)
-            inputs = [random_formula(rng, depth=2) for _ in range(rng.randrange(1, 4))]
+            inputs = [random_formula(rng, depth=2) for _ in range(rng.randrange(1, 8))]
             goal = random_formula(rng, depth=2)
             folded = inputs[0]
             for f in inputs[1:]:
