@@ -10,6 +10,7 @@ import pytest
 
 import iolog
 import iolog.derivation
+import iolog.output
 import iolog.reference
 import iolog.worlds
 from conftest import NESTINGS, TOO_DEEP, nested_text
@@ -195,13 +196,15 @@ class TestBounds:
         assert exit.value.code == 2
         assert "unrecognized arguments: --atom-limit 3" in capsys.readouterr().err
 
-    def test_examples_has_no_bound_flags(self, capsys):
-        """The regression matrix runs at fixed bounds."""
-        for argv in (["--atom-limit", "3"], ["--max-worlds", "2"]):
-            with pytest.raises(SystemExit) as exit:
-                main(["examples", *argv])
-            assert exit.value.code == 2
-            assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--atom-limit", "--max-worlds"])
+    @pytest.mark.parametrize("value", ["3", "2", "0", "-3", "x", "1.5"])
+    def test_examples_has_no_bound_flags(self, flag, value, capsys):
+        """The regression matrix runs at fixed bounds: no value of either
+        flag, in range or not, reaches a bound check."""
+        with pytest.raises(SystemExit) as exit:
+            main(["examples", flag, value])
+        assert exit.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["1", "lots"])
     def test_no_environment_variable_sets_the_atom_limit(self, norms_file, value, monkeypatch):
@@ -482,6 +485,14 @@ class TestExamples:
         monkeypatch.setattr(iolog.worlds, "naive_unfold_valid", inverted)
         assert main(["examples"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_catches_a_semantic_reading_that_always_holds(self, capsys, monkeypatch):
+        """The matrix's semantic rows go through ``output._semantic_holds``
+        at call time, so a reading that accepts ``e`` from ``a | b`` shows
+        up in both modes."""
+        monkeypatch.setattr(iolog.output, "_semantic_holds", lambda *args, **kwargs: True)
+        assert main(["examples"]) == 1
+        assert capsys.readouterr().out.count("MISMATCH") == 2
 
     def test_out_of_memory_names_no_flag(self, capsys, monkeypatch):
         """The matrix takes no bound flag, so its out-of-memory line suggests none."""

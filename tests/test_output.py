@@ -25,6 +25,7 @@ from iolog import (
     source_ordered_heads,
     triggered_heads,
 )
+from iolog.output import _semantic_holds
 
 A, B, E = Atom("a"), Atom("b"), Atom("e")
 TWO_NORMS = parse_norms("(a, e)\n(b, e)")
@@ -103,6 +104,16 @@ class TestOut1MemberMulti:
         assert out1_member_multi(parse_norms("(a, e)"), [A] * 3000, E).holds is True
         assert out1_member_multi(parse_norms("(b, e)"), [A] * 2999 + [B], E).holds is True
 
+    def test_the_fold_keeps_every_input(self):
+        """Whatever the count's parity, the one input that fires the norm
+        reaches the conjunction wherever it stands."""
+        ns = parse_norms("(b, e)")
+        for n in range(1, 10):
+            for k in range(n):
+                inputs = [A] * n
+                inputs[k] = B
+                assert out1_member_multi(ns, inputs, E).holds is True
+
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             out1_member_multi(TWO_NORMS, [], E)
@@ -117,6 +128,25 @@ class TestOut1MemberMulti:
             for f in inputs[1:]:
                 folded = And(folded, f)
             assert out1_member_multi(ns, inputs, goal).holds == out1_member(ns, folded, goal).holds
+
+
+class TestSemanticReading:
+    """The sound answer that ``naive`` and the regression matrix set against
+    the naive unfolding."""
+
+    @given(norm_sets(), formulas(max_leaves=3), formulas(max_leaves=3))
+    def test_out1_reads_membership(self, ns, a, x):
+        assert _semantic_holds(ns, a, x, "out1") == out1_member(ns, a, x).holds
+
+    @given(norm_sets(), formulas(max_leaves=3), formulas(max_leaves=3))
+    def test_outpre_reads_a_triggered_head(self, ns, a, x):
+        assert _semantic_holds(ns, a, x, "outpre") == (x in triggered_heads(ns, a))
+
+    def test_outpre_reading_is_syntactic(self):
+        """``e & e`` follows from the head ``e`` but is not itself a head."""
+        ns, goal = parse_norms("(a, e)"), And(E, E)
+        assert _semantic_holds(ns, A, goal, "out1") is True
+        assert _semantic_holds(ns, A, goal, "outpre") is False
 
 
 FOUR_HEADS = parse_norms("(a, h1)\n(a, h2)\n(a, h3)\n(a, h4)")
