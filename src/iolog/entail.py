@@ -29,6 +29,7 @@ __all__ = [
 
 DEFAULT_ATOM_LIMIT = 16
 DEFAULT_SEARCH_BUDGET = 24
+_DEFAULT_MAX_WORLDS = 4  # the lifted engines' default world bound, read by the CLI without worlds
 
 Valuation = Mapping[str, bool]
 
@@ -104,11 +105,9 @@ def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:
 _JOINT_ATOMS = 16  # most atoms an engine call shares tables over: 8 KiB per formula
 
 
-def _valuation_masks(names: list[str], atom_limit: int) -> tuple[dict[str, int], int]:
+def _valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
     """Atom masks over all valuations of the sorted ``names``, and the universe mask.
     Point i is the i-th valuation ``itertools.product`` yields: the last name cycles fastest."""
-    if len(names) > atom_limit:
-        raise AtomLimitError(len(names), atom_limit)
     env, size = {}, 1  # add the names last to first, each doubling the points by shifts
     for name in reversed(names):
         env = {other: m | m << size for other, m in env.items()}
@@ -129,7 +128,9 @@ class _Tables:
         self.names = sorted(_atom_names(formulas))
         self.shared = whole or len(self.names) <= min(atom_limit, _JOINT_ATOMS)
         if self.shared:
-            self.env, self.full = _valuation_masks(self.names, atom_limit)
+            if len(self.names) > atom_limit:
+                raise AtomLimitError(len(self.names), atom_limit)
+            self.env, self.full = _valuation_masks(self.names)
             self._memo: dict[int, int] = {}
 
     def mask(self, f: Formula) -> int:
@@ -151,8 +152,9 @@ class _Tables:
 
 
 def eval_formula(f: Formula, valuation: Valuation) -> bool:
-    """Truth value of ``f`` under ``valuation``; unmapped atoms reached are an error."""
-    return bool(_truth_mask(f, valuation, 1))
+    """Truth value of ``f``, reading each value of ``valuation`` by truth; unmapped atoms
+    reached are an error."""
+    return bool(_truth_mask(f, {name: bool(value) for name, value in valuation.items()}, 1))
 
 
 def counterexample_valuation(

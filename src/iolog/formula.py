@@ -58,8 +58,9 @@ class _Value:
     slots this base derives ``_fields`` and ``__match_args__``, base-class fields first,
     and defines ``==`` (same class, same field values), ``hash`` (of the field tuple),
     a ``repr`` such as ``Not(operand=Atom(name='a'))``, pickling by value, and
-    ``FrozenInstanceError`` on assignment and deletion.  A class that hot paths hash or
-    compare writes ``__eq__`` and ``__hash__`` out straight-line instead."""
+    ``FrozenInstanceError`` on assignment and deletion.  Only ``Atom``, ``Not`` and
+    ``_Binary`` write ``__eq__`` and ``__hash__`` out straight-line, with the same results:
+    small-queries runs measurably slower without them, and no slower without any other's."""
 
     __slots__ = ()
 
@@ -68,7 +69,9 @@ class _Value:
             name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
         )
         cls._fields = cls.__match_args__ = fields
-        if len(fields) > 1:  # the field tuple, read by attrgetter without running Python code
+        if not fields:  # a plain tuple, so hashing TOP or BOTTOM runs no property
+            cls._values = ()
+        elif len(fields) > 1:  # the field tuple, read by attrgetter without running Python code
             cls._values = property(attrgetter(*fields))
         else:
             cls._values = property(lambda self: tuple(map(self.__getattribute__, fields)))
@@ -130,15 +133,9 @@ class Atom(Formula):
 class Top(Formula):
     __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(())
-
 
 class Bottom(Formula):
     __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 class Not(Formula):

@@ -41,14 +41,6 @@ class Norm(_Value):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "head", head)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.body, self.head) == (other.body, other.head)
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.head))
-
 
 class NormSet(_Value):
     """A finite, ordered collection of norms; iteration follows source order."""

@@ -12,6 +12,7 @@ any engine shows up as a mismatch.
 from __future__ import annotations
 
 from . import derivation, output, worlds
+from .entail import _DEFAULT_MAX_WORLDS
 from .formula import Formula, parse_formula
 from .norms import Norm, parse_norms
 
@@ -38,7 +39,8 @@ def _decide(engine: str, mode: str, input: Formula, goal: Formula) -> bool:
     if engine == "triple":
         return output.out1_triple_approx(norms, input, goal).holds
     if engine == "lifted":
-        return worlds.find_countermodel(worlds.LiftedQuery(norms, input, goal, mode), 4) is None
+        query = worlds.LiftedQuery(norms, input, goal, mode)
+        return worlds.find_countermodel(query, _DEFAULT_MAX_WORLDS) is None
     return worlds.naive_unfold_valid(norms, input, goal, mode)
 
 

@@ -23,7 +23,7 @@ from typing import Literal, Mapping
 
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
-from .entail import _guard, _Tables, _truth_mask, _valuation_masks
+from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
 from .formula import Formula, _atom_names, _Value
 from .norms import NormSet
 from .output import Verdict, _query_formulas, triggered_heads
@@ -189,7 +189,7 @@ def find_countermodel(
     names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
-    env, full = _valuation_masks(names, len(names))
+    env, full = _valuation_masks(names)
     masks, columns = _masks(query, env, full), [env[name] for name in names]
 
     def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # per atom, its world mask
@@ -216,7 +216,7 @@ def lifted_verdict(
     input: Formula,
     goal: Formula,
     *,
-    max_worlds: int = 4,
+    max_worlds: int = _DEFAULT_MAX_WORLDS,
     budget: int = DEFAULT_SEARCH_BUDGET,
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> Verdict:

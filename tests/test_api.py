@@ -138,13 +138,13 @@ class TestGuards:
     int of at least 1: a bool, a float or a string is refused, even where it would compare
     as a number."""
 
-    @pytest.mark.parametrize("guard, name", CASES, ids=" ".join)
+    @pytest.mark.parametrize("guard, name", CASES, ids=str)
     @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "2", None], ids=repr)
     def test_a_guard_that_is_not_an_int_is_refused(self, guard, name, value):
         with pytest.raises(ValueError, match=f"{guard} must be an int, at least"):
             GUARDED[guard][name](**{guard: value})
 
-    @pytest.mark.parametrize("guard, name", CASES, ids=" ".join)
+    @pytest.mark.parametrize("guard, name", CASES, ids=str)
     def test_the_least_value_is_accepted_and_one_less_refused(self, guard, name):
         """0 bounds an atom limit or a budget to atomless work; a search needs a world."""
         least = 1 if guard == "max_worlds" else 0

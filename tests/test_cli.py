@@ -167,7 +167,7 @@ BOUND_FLAGS = [
 
 
 class TestBounds:
-    @pytest.mark.parametrize("command, flag", BOUND_FLAGS, ids=" ".join)
+    @pytest.mark.parametrize("command, flag", BOUND_FLAGS, ids=str)
     @pytest.mark.parametrize(
         "value, reason",
         [
