@@ -108,11 +108,12 @@ _JOINT_ATOMS = 16  # most atoms an engine call shares tables over: 8 KiB per for
 def _valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
     """Atom masks over all valuations of the sorted ``names``, and the universe mask.
     Point i is the i-th valuation ``itertools.product`` yields: the last name cycles fastest."""
-    env, size = {}, 1  # add the names last to first, each doubling the points by shifts
-    for name in reversed(names):
-        env = {other: m | m << size for other, m in env.items()}
-        env[name], size = ((1 << size) - 1) << size, 2 * size
-    return env, (1 << size) - 1
+    env, run = {}, 1 << len(names)
+    full = mask = (1 << run) - 1
+    for name in names:  # runs half the previous name's: one shift, one XOR (TAOCP 7.1.3)
+        run >>= 1
+        env[name] = mask = mask ^ mask >> run
+    return env, full
 
 
 class _Tables:

@@ -23,6 +23,9 @@ counts parenthesis depth finds the comma directly inside the outer
 parentheses.  The ``Dataclass`` classes are the formula nodes, ``Norm`` and
 ``NormSet`` as iolog defined them before its values shared one slotted base:
 frozen slotted dataclasses, which print under iolog's class names.
+``doubling_valuation_masks`` builds the truth tables' atom masks as iolog
+did before each mask came from the previous one by one shift and one XOR:
+it adds the names last to first, doubling every mask built so far.
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ from iolog import (
     source_ordered_heads,
 )
 from iolog.formula import MAX_DEPTH, _Token
+
+
+def doubling_valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
+    """``entail._valuation_masks``'s atom masks and universe mask, built by doubling."""
+    env, size = {}, 1
+    for name in reversed(names):
+        env = {other: m | m << size for other, m in env.items()}
+        env[name], size = ((1 << size) - 1) << size, 2 * size
+    return env, (1 << size) - 1
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:

@@ -1,5 +1,8 @@
 """The bit-mask engines against the pointwise references in ``pointwise.py``."""
 
+import itertools
+from functools import reduce
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,13 @@ from conftest import formulas, norm_sets, oracle_eval
 from iolog import (
     DEFAULT_ATOM_LIMIT,
     TOP,
+    And,
     Atom,
     AtomLimitError,
     LiftedQuery,
     Norm,
     NormSet,
+    Not,
     Or,
     Verdict,
     WorldModel,
@@ -36,7 +41,9 @@ from iolog import (
     triggered_heads,
     verify_derivation,
 )
+from iolog.entail import _JOINT_ATOMS, _valuation_masks
 from pointwise import (
+    doubling_valuation_masks,
     first_counterexample,
     per_entailment_construct_derivation,
     per_entailment_derive_verdict,
@@ -63,12 +70,57 @@ def models(draw, names=NAMES, max_worlds=3):
     return WorldModel(count, {name: draw(worlds) for name in names})
 
 
+def p_atoms(count: int) -> list[str]:
+    return [f"p{i:02d}" for i in range(count)]
+
+
+class TestValuationMasks:
+    @pytest.mark.parametrize("count", range(19))
+    def test_matches_the_doubling_builder(self, count):
+        """Equal dicts: the same key set, each key with the same int."""
+        assert _valuation_masks(p_atoms(count)) == doubling_valuation_masks(p_atoms(count))
+
+    @pytest.mark.parametrize("count", range(9))
+    def test_point_i_is_the_ith_product_valuation(self, count):
+        names = p_atoms(count)
+        env, full = _valuation_masks(names)
+        points = list(itertools.product((False, True), repeat=count))
+        assert full == (1 << len(points)) - 1
+        for i, values in enumerate(points):
+            assert [bool(env[n] >> i & 1) for n in names] == list(values)
+
+    def test_each_call_builds_its_own_tables(self):
+        first, _ = _valuation_masks(p_atoms(3))
+        first["p00"], first["extra"] = 0, 1
+        assert _valuation_masks(p_atoms(3)) == doubling_valuation_masks(p_atoms(3))
+
+
 class TestValuationTable:
     @given(st.lists(formulas(WIDE, max_leaves=10), max_size=3), formulas(WIDE, max_leaves=10))
     def test_counterexample_is_the_first_in_enumeration_order(self, premises, conclusion):
         assert counterexample_valuation(premises, conclusion) == first_counterexample(
             premises, conclusion
         )
+
+    @pytest.mark.parametrize("count", (_JOINT_ATOMS + 1, _JOINT_ATOMS + 2))
+    def test_witness_order_over_whole_tables_past_the_joint_limit(self, count):
+        """Each query spans every atom through a tautological premise, so its one
+        table covers all 2^count valuations, past the tables an engine call shares."""
+        names = p_atoms(count)
+        everything = reduce(And, map(Atom, names))
+        tautology = Or(everything, Not(everything))
+
+        def witness(premises, conclusion):
+            return counterexample_valuation((*premises, tautology), conclusion, atom_limit=count)
+
+        assert witness((), Atom("p16")) == dict.fromkeys(names, False)
+        assert witness((), Not(everything)) == dict.fromkeys(names, True)
+        expected = dict.fromkeys(names, False) | {"p00": True}
+        assert witness((Atom("p00"),), Atom("p01")) == expected
+        # Of the two valuations making exactly one of p00, p16 true, p16's comes first.
+        first, last = Atom("p00"), Atom("p16")
+        expected = dict.fromkeys(names, False) | {"p16": True}
+        assert witness((Or(first, last),), And(first, last)) == expected
 
     @given(formulas(WIDE, max_leaves=10), st.fixed_dictionaries({n: TRUTHS for n in WIDE}))
     def test_eval_formula_matches_the_oracle(self, f, valuation):
