@@ -139,6 +139,9 @@ class _Tables:
             m = self._memo[id(f)] = _truth_mask(f, self.env, self.full)
         return m
 
+    def truth(self, f: Formula) -> int:  # unmemoised, for a caller that reads each formula once
+        return _truth_mask(f, self.env, self.full)
+
     def counterexamples(self, premises: Iterable[Formula], conclusion: Formula) -> int:
         """Mask of the valuations satisfying every premise and falsifying the conclusion."""
         witnesses = self.full ^ self.mask(conclusion)

@@ -9,14 +9,14 @@ never counts as its own output.
 The exact operation is decided from the full triggered-head set.  The
 three-witness approximation, which only sees consequences of at most
 three triggered heads (plus a tautology escape for the empty case), is
-kept as a separate, clearly labelled operation for fidelity testing
-against the world-lifted encodings.
+the lifted three-witness test read over every valuation: one kernel,
+``_holds``, decides it here and in the models of :mod:`iolog.worlds`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula, _Value
@@ -135,6 +135,30 @@ def _semantic_holds(
     return goal in triggered_heads(norms, input, atom_limit=atom_limit)
 
 
+def _masks(
+    norms: Iterable[Norm], input: Formula, goal: Formula, mode: str, mask: Callable, full: int
+) -> tuple[int, list]:
+    """Where the claim can fail and, per norm, what the three-witness test reads, each
+    formula's ``mask`` taken over ``full``'s points.  outpre can fail anywhere and reads where
+    each norm misfits; out1 fails where the goal does and reads (where the body misses, head)."""
+    goal, input = mask(goal), mask(input)
+    masks = [(input & ~mask(n.body), mask(n.head)) for n in norms]
+    if mode == "outpre":
+        return full, [head ^ goal | missed for missed, head in masks]
+    return full ^ goal, masks
+
+
+def _holds(mode: str, masks: tuple[int, list], sel: int) -> bool:
+    """The lifted test in a model whose worlds carry exactly the points in ``sel``; over
+    every valuation, ``sel = full``, the out1 test is the triple engine."""
+    fails, norms = masks[0] & sel, masks[1]
+    if mode == "outpre":  # some norm fits at every world
+        return any(not misfit & sel for misfit in norms)
+    heads = {head & fails for missed, head in norms if not missed & sel}  # of covering norms
+    triples = itertools.combinations_with_replacement(heads, 3)
+    return not fails or any(not h & i & j for h, i, j in triples)
+
+
 def out1_triple_approx(
     norms: NormSet,
     input: Formula,
@@ -147,10 +171,16 @@ def out1_triple_approx(
     Holds when the goal is a tautology or follows from some choice of
     three triggered heads (repetition allowed, so one or two heads also
     qualify).  Sound but incomplete: consequences needing four or more
-    distinct heads are missed.
+    distinct heads are missed.  Past the shared tables, each triple's
+    entailment is decided over its own atoms.
     """
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
-    heads = frozenset(n.head for n in _triggered(norms, input, tables))
-    triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
-    holds = tables.entails((), goal) or any(tables.entails(t, goal) for t in triples)
+    triggered = list(_triggered(norms, input, tables))
+    heads = frozenset(n.head for n in triggered)
+    if tables.shared:
+        full = tables.full
+        holds = _holds("out1", _masks(triggered, input, goal, "out1", tables.mask, full), full)
+    else:
+        triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
+        holds = tables.entails((), goal) or any(tables.entails(t, goal) for t in triples)
     return Verdict(holds, "triple-approx", triggered=heads)

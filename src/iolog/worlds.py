@@ -11,22 +11,22 @@ sit: lifted pre-output asks that some norm fit at every world, the naive
 one that at every valuation some norm fit.
 
 The lifted output operation is the three-witness encoding (with a
-tautology disjunct for the no-triggered-norm case), matching the
-approximation in :mod:`iolog.output`; the exact operation lives there.
+tautology disjunct for the no-triggered-norm case).  Its test lives in
+:mod:`iolog.output`, whose triple engine reads it over every valuation.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Callable, Literal, Mapping
 
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
 from .formula import Formula, _atom_names, _Value
 from .norms import NormSet
-from .output import Verdict, _query_formulas, triggered_heads
+from .output import Verdict, _holds, _masks, _query_formulas, triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -90,43 +90,22 @@ class LiftedQuery(_Value):
         object.__setattr__(self, "mode", mode)
 
 
-def _model_masks(model: WorldModel) -> tuple[dict[str, int], int]:
-    """Atom masks over the model's worlds (bit w = world w), and the universe mask."""
+def _model_masks(model: WorldModel) -> tuple[Callable[[Formula], int], int]:
+    """Each formula's mask over the model's worlds (bit w = world w), and the universe mask."""
     env = {name: sum(1 << w for w in worlds) for name, worlds in model.extension.items()}
-    return env, (1 << model.world_count) - 1
+    full = (1 << model.world_count) - 1
+    return lambda f: _truth_mask(f, env, full), full
 
 
 def lifted_extension(f: Formula, model: WorldModel) -> frozenset[int]:
     """The set of worlds where ``f`` holds, computed pointwise."""
-    mask = _truth_mask(f, *_model_masks(model))
+    mask = _model_masks(model)[0](f)
     return frozenset(w for w in model.worlds if mask >> w & 1)
 
 
 def lifted_valid(f: Formula, model: WorldModel) -> bool:
     """A lifted formula is valid when it holds at every world of the model."""
     return lifted_extension(f, model) == model.worlds
-
-
-def _masks(query: LiftedQuery, env: Mapping[str, int], full: int) -> tuple[int, list]:
-    """Where the claim can fail and, per norm, what the lifted test reads, each formula
-    evaluated once over ``full``'s points.  outpre can fail anywhere and reads where each
-    norm misfits; out1 fails where the goal does and reads (where the body misses, head)."""
-    goal, input = _truth_mask(query.goal, env, full), _truth_mask(query.input, env, full)
-    norms = [(input & ~_truth_mask(n.body, env, full), _truth_mask(n.head, env, full))
-             for n in query.norms]
-    if query.mode == "outpre":
-        return full, [head ^ goal | missed for missed, head in norms]
-    return full ^ goal, norms
-
-
-def _holds(mode: Mode, masks: tuple[int, list], sel: int) -> bool:
-    """The lifted test in a model whose worlds carry exactly the points in ``sel``."""
-    fails, norms = masks[0] & sel, masks[1]
-    if mode == "outpre":  # some norm fits at every world
-        return any(not misfit & sel for misfit in norms)
-    heads = {head & fails for missed, head in norms if not missed & sel}  # of covering norms
-    triples = itertools.combinations_with_replacement(heads, 3)
-    return not fails or any(not h & i & j for h, i, j in triples)
 
 
 def _one_world_failures(mode: Mode, masks: tuple[int, list]) -> int:
@@ -138,9 +117,7 @@ def _one_world_failures(mode: Mode, masks: tuple[int, list]) -> int:
     return fails
 
 
-def outpre_member_lifted(
-    norms: NormSet, input: Formula, goal: Formula, model: WorldModel
-) -> bool:
+def outpre_member_lifted(norms: NormSet, input: Formula, goal: Formula, model: WorldModel) -> bool:
     """Lifted pre-output membership: some norm has the goal as head and a body
     covering the input, both read extensionally, so it fits at every world.
 
@@ -148,18 +125,16 @@ def outpre_member_lifted(
     witness must equal some norm body extensionally, so trying exactly the
     norm bodies is exhaustive.
     """
-    env, full = _model_masks(model)
-    return _holds("outpre", _masks(LiftedQuery(norms, input, goal, "outpre"), env, full), full)
+    mask, full = _model_masks(model)
+    return _holds("outpre", _masks(norms, input, goal, "outpre", mask, full), full)
 
 
-def out1_member_lifted(
-    norms: NormSet, input: Formula, goal: Formula, model: WorldModel
-) -> bool:
+def out1_member_lifted(norms: NormSet, input: Formula, goal: Formula, model: WorldModel) -> bool:
     """Lifted output membership, three-witness style: the goal is valid outright, or
     follows (validly, pointwise) from three pre-output members, repetition allowed:
     heads of norms whose body covers the input at every world."""
-    env, full = _model_masks(model)
-    return _holds("out1", _masks(LiftedQuery(norms, input, goal, "out1"), env, full), full)
+    mask, full = _model_masks(model)
+    return _holds("out1", _masks(norms, input, goal, "out1", mask, full), full)
 
 
 def find_countermodel(
@@ -190,10 +165,10 @@ def find_countermodel(
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
     env, full = _valuation_masks(names)
-    masks, columns = _masks(query, env, full), [env[name] for name in names]
+    masks = _masks(*query._values, lambda f: _truth_mask(f, env, full), full)  # its four fields
 
-    def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # per atom, its world mask
-        return tuple(sum((c >> v & 1) << w for w, v in enumerate(chosen)) for c in columns)
+    def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # by atom name, its world mask
+        return tuple(sum((c >> v & 1) << w for w, v in enumerate(chosen)) for c in env.values())
 
     fails = _one_world_failures(query.mode, masks)
     least = ((fails & -fails).bit_length() - 1,) if fails else None  # the lowest valuation
@@ -246,9 +221,9 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    query = LiftedQuery(norms, input, goal, mode)
+    LiftedQuery(norms, input, goal, mode)  # rejects an unknown mode
     tables = _Tables(_query_formulas(norms, input, goal), atom_limit, whole=True)
-    return not _one_world_failures(mode, _masks(query, tables.env, tables.full))
+    return not _one_world_failures(mode, _masks(norms, input, goal, mode, tables.truth, tables.full))
 
 
 def render_world_model(model: WorldModel) -> str:

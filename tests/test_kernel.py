@@ -41,7 +41,9 @@ from iolog import (
     triggered_heads,
     verify_derivation,
 )
-from iolog.entail import _JOINT_ATOMS, _valuation_masks
+from iolog import output, worlds
+from iolog.entail import _JOINT_ATOMS, _Tables, _valuation_masks
+from iolog.output import _query_formulas
 from pointwise import (
     doubling_valuation_masks,
     first_counterexample,
@@ -306,3 +308,56 @@ class TestQueryTables:
             )
         if limit >= DEFAULT_ATOM_LIMIT:
             assert out1_member(SPARSE_NORMS, SPARSE_INPUT, goal, atom_limit=limit).holds
+
+
+SIX = ("a", "b", "c", "d", "e", "f")
+# No three of the four heads entail the goal, all four do.  The twin adds an untriggered
+# norm over 13 more atoms and ``f``, 19 joint atoms, so its tables are not shared.
+FOUR_HEADS = parse_norms("".join(f"(a, e{i})\n" for i in range(1, 5)))
+FOUR_GOAL = parse_formula("e1 & e2 & e3 & e4")
+WIDE_FOUR_HEADS = NormSet((*FOUR_HEADS, Norm(parse_formula(" & ".join(p_atoms(13))), Atom("f"))))
+
+
+class TestTripleKernel:
+    """The triple engine decides by ``output._holds`` on shared tables and one entailment
+    per triple past them; the per-entailment reference decides both ways alike."""
+
+    @settings(max_examples=400)
+    @given(
+        norm_sets(SIX, max_norms=8), formulas(SIX, max_leaves=4), formulas(SIX, max_leaves=6),
+        st.integers(0, 7),
+    )
+    def test_both_branches_match_the_per_entailment_reference(self, norms, input, goal, limit):
+        """A limit below the query's joint atoms leaves its tables unshared."""
+        assert outcome(out1_triple_approx, norms, input, goal, atom_limit=limit) == outcome(
+            per_entailment_out1_triple_approx, norms, input, goal, limit
+        )
+
+    @pytest.mark.parametrize("norms, shared", [(FOUR_HEADS, True), (WIDE_FOUR_HEADS, False)])
+    def test_four_heads_escape_every_triple(self, norms, shared):
+        input = Atom("a")
+        assert _Tables(_query_formulas(norms, input, FOUR_GOAL), DEFAULT_ATOM_LIMIT).shared is shared
+        verdict = out1_triple_approx(norms, input, FOUR_GOAL)
+        assert verdict == per_entailment_out1_triple_approx(norms, input, FOUR_GOAL)
+        assert verdict.holds is False
+        assert out1_member(norms, input, FOUR_GOAL).holds is True
+
+    @pytest.mark.parametrize("norms, calls", [(FOUR_HEADS, 4), (WIDE_FOUR_HEADS, 5 + 1 + 20)])
+    def test_shared_tables_ask_no_entailment_per_triple(self, monkeypatch, norms, calls):
+        """Triggering asks one entailment per norm; past the shared tables the tautology
+        check and each of the C(6, 3) triples of four heads ask one more."""
+        asked = []
+
+        class Counted(_Tables):  # output's tables only: not the ones the public entails builds
+            def entails(self, premises, conclusion):
+                asked.append(conclusion)
+                return super().entails(premises, conclusion)
+
+        monkeypatch.setattr(output, "_Tables", Counted)
+        out1_triple_approx(norms, Atom("a"), FOUR_GOAL)
+        assert len(asked) == calls
+
+    @pytest.mark.parametrize("name", ["_masks", "_holds"])
+    def test_output_alone_defines_the_kernel(self, name):
+        assert getattr(worlds, name) is getattr(output, name)
+        assert getattr(output, name).__module__ == "iolog.output"
