@@ -53,20 +53,22 @@ class FormulaSyntaxError(ValueError):
 
 
 class _Value:
-    """Base of iolog's immutable values.  A class names its fields in a tuple
-    ``__slots__`` and sets them in its ``__init__`` by ``object.__setattr__``; from the
-    slots this base derives ``_fields`` and ``__match_args__``, base-class fields first,
-    and defines ``==`` (same class, same field values), ``hash`` (of the field tuple),
-    a ``repr`` such as ``Not(operand=Atom(name='a'))``, pickling by value, and
-    ``FrozenInstanceError`` on assignment and deletion.  Only ``Atom``, ``Not`` and
-    ``_Binary`` write ``__eq__`` and ``__hash__`` out straight-line, with the same results:
-    small-queries runs measurably slower without them, and no slower without any other's."""
+    """Base of iolog's immutable values.  A class names its fields in a tuple ``__slots__``
+    and sets them in its ``__init__`` by ``object.__setattr__``; from the slots this base
+    derives ``_fields`` and ``__match_args__``, base-class fields first, and defines ``==``
+    (same class, same field values), ``hash`` (of the field tuple), a ``repr`` such as
+    ``Not(operand=Atom(name='a'))``, pickling by value, and ``FrozenInstanceError`` on
+    assignment and deletion.  A slot whose name starts with ``_`` is no field but a private
+    cache, which none of these read.  Only ``Atom``, ``Not`` and ``_Binary`` write
+    ``__eq__`` and ``__hash__`` out straight-line, with the same results: small-queries runs
+    measurably slower without them, and no slower without any other's."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         fields = tuple(
             name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+            if name[0] != "_"
         )
         cls._fields = cls.__match_args__ = fields
         if not fields:  # a plain tuple, so hashing TOP or BOTTOM runs no property
@@ -139,7 +141,7 @@ class Bottom(Formula):
 
 
 class Not(Formula):
-    __slots__ = ("operand",)
+    __slots__ = ("operand", "_atoms")  # _atoms: see _atom_names
 
     def __init__(self, operand: Formula):
         object.__setattr__(self, "operand", operand)
@@ -156,7 +158,7 @@ class Not(Formula):
 class _Binary(Formula):
     """The two-operand nodes' fields; each connective is its own subclass."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_atoms")  # _atoms: see _atom_names
 
     def __init__(self, left: Formula, right: Formula):
         object.__setattr__(self, "left", left)
@@ -196,12 +198,31 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 def _atom_names(formulas: Iterable[Formula]) -> set[str]:
-    """The atom names occurring in any of ``formulas``, by one iterative walk."""
+    """The atom names occurring in any of ``formulas``.  A ``Not`` or binary node given
+    here, of exactly its class, keeps its names in its ``_atoms`` slot for the next call
+    given it; a subformula, or an instance of a subclass, is walked on every call."""
     names: set[str] = set()
-    stack = list(formulas)
+    for f in formulas:
+        t = type(f)  # exact-type tests: about twice as fast as isinstance here
+        if t is Atom:
+            names.add(f.name)
+        elif t is Not or t is And or t is Or or t is Implies:
+            try:
+                names.update(f._atoms)
+            except AttributeError:  # the first call given f: equal tuples, if threads race
+                object.__setattr__(f, "_atoms", own := tuple(_walk_names([f])))
+                names.update(own)
+        elif t is not Top and t is not Bottom:
+            names |= _walk_names([f])
+    return names
+
+
+def _walk_names(stack: list[Formula]) -> set[str]:
+    """The atom names occurring in the formulas on ``stack``, by one iterative walk."""
+    names: set[str] = set()
     while stack:
         f = stack.pop()
-        t = type(f)  # exact-type tests: about twice as fast as isinstance here
+        t = type(f)
         if t is Atom:
             names.add(f.name)
         elif t is And or t is Or or t is Implies:

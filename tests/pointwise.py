@@ -26,6 +26,8 @@ frozen slotted dataclasses, which print under iolog's class names.
 ``doubling_valuation_masks`` builds the truth tables' atom masks as iolog
 did before each mask came from the previous one by one shift and one XOR:
 it adds the names last to first, doubling every mask built so far.
+``walking_atom_names`` collects atom names as iolog did before a ``Not`` or
+binary node kept its own: one iterative walk of every formula, on every call.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from iolog import (
     render_norm,
     source_ordered_heads,
 )
-from iolog.formula import MAX_DEPTH, _Token
+from iolog.formula import MAX_DEPTH, _as_node, _Token
 
 
 def doubling_valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
@@ -76,6 +78,24 @@ def doubling_valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
         env = {other: m | m << size for other, m in env.items()}
         env[name], size = ((1 << size) - 1) << size, 2 * size
     return env, (1 << size) - 1
+
+
+def walking_atom_names(formulas) -> set[str]:
+    """``formula._atom_names``'s set of names, walked in full on every call."""
+    names: set[str] = set()
+    stack = list(formulas)
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is Atom:
+            names.add(f.name)
+        elif t is And or t is Or or t is Implies:
+            stack += (f.left, f.right)
+        elif t is Not:
+            stack.append(f.operand)
+        elif t is not Top and t is not Bottom:
+            stack.append(_as_node(f))
+    return names
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:

@@ -1,15 +1,20 @@
-"""iolog's values: frozen slotted classes on one shared base, and subclasses of the
-formula node classes, which every walk treats as the node class they derive from."""
+"""iolog's values: frozen slotted classes on one shared base, subclasses of the
+formula node classes, which every walk treats as the node class they derive from, and
+the atom names a connective keeps once a walk has read them."""
 
 import pickle
+import sys
+import threading
 import weakref
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import formulas, norm_sets, oracle_atoms, oracle_entails, oracle_eval
-from pointwise import as_dataclass, recursive_print_formula
+from pointwise import as_dataclass, recursive_print_formula, walking_atom_names
 from iolog import (
     AND,
     BOTTOM,
@@ -39,6 +44,7 @@ from iolog import (
     parse_formula,
     print_formula,
 )
+from iolog.formula import _atom_names, _Binary
 
 A, B = Atom("a"), Atom("b")
 LEAF = AxiomLeaf(Norm(A, B))
@@ -161,6 +167,51 @@ class TestSlots:
                 pytest.fail("pattern did not match")
 
 
+    def test_no_value_class_has_a_private_field(self):
+        for cls in {type(v) for v in VALUES} | {Conjunction, TaggedAtom}:
+            assert not any(name.startswith("_") for name in cls._fields)
+            assert cls.__match_args__ == cls._fields
+        assert "_atoms" in Not.__slots__ and "_atoms" in _Binary.__slots__
+
+    @pytest.mark.parametrize("cls", (Not, And, Or, Implies))
+    def test_the_atom_cache_is_outside_value_semantics(self, cls):
+        f = cls(Not(A)) if cls is Not else cls(A, Not(B))
+        before = repr(f), hash(f), pickle.dumps(f)
+        for _ in range(2):  # before the cache fills, and after
+            with pytest.raises(FrozenInstanceError):
+                f._atoms = ("z",)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, "_atoms")
+            assert atoms(f) == oracle_atoms(f)
+        assert sorted(f._atoms) == sorted(oracle_atoms(f))
+        assert (repr(f), hash(f), pickle.dumps(f)) == before
+        copy = pickle.loads(before[2])
+        assert copy == f and f == (cls(Not(A)) if cls is Not else cls(A, Not(B)))
+        assert hash(copy) == hash(f) and not hasattr(copy, "_atoms")
+
+    def test_threads_filling_one_cache_agree(self):
+        f = reduce(And, (Or(Atom(f"p{i}"), Not(Atom(f"q{i}"))) for i in range(200)))
+        expected = oracle_atoms(f)
+        start, results = threading.Barrier(4), [None] * 4
+
+        def read(k):
+            start.wait()
+            results[k] = atoms(f)
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that the fills can overlap
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4 and sorted(f._atoms) == sorted(expected)
+
+
 class TestAgainstDataclasses:
     """Formulas, norms and norm sets against the frozen slotted dataclasses they were:
     ``repr``, ``hash``, ``==``, ``!=`` and ``__match_args__`` agree."""
@@ -225,3 +276,55 @@ class TestSubclasses:
             eval_formula(Conjunction(A, "b"), {"a": True})
         with pytest.raises(TypeError, match="not a formula: 'b'"):
             print_formula(Conjunction(A, "b"))
+
+
+def nodes(roots) -> dict[int, object]:
+    """Every node below ``roots``, each object once, by its id."""
+    found, stack = {}, list(roots)
+    while stack:
+        f = stack.pop()
+        if id(f) not in found:
+            found[id(f)] = f
+            stack += [f.operand] if isinstance(f, Not) else []
+            stack += [f.left, f.right] if isinstance(f, (And, Or, Implies)) else []
+    return found
+
+
+@st.composite
+def root_lists(draw):
+    """Formulas to ask for atom names, in one list: constants, subformulas of others,
+    connectives over shared subtrees, and formulas with subclass nodes, some as roots.
+    A pickled copy keeps the sharing and no cached names."""
+    drawn = draw(st.lists(formulas(max_leaves=8), min_size=1, max_size=4))
+    pool = [*drawn, *nodes(drawn).values(), *map(subclassed, drawn)]
+    pool += [And(drawn[0], drawn[-1]), Not(drawn[-1]), Or(subclassed(drawn[0]), drawn[0])]
+    return pickle.loads(pickle.dumps(draw(st.lists(st.sampled_from(pool), max_size=8))))
+
+
+class TestAtomCache:
+    """``_atom_names`` against the walk it replaced, which reads no cache; only a root
+    of exactly class ``Not``, ``And``, ``Or`` or ``Implies`` keeps its names."""
+
+    @given(root_lists())
+    def test_against_the_full_walk_on_first_and_cached_calls(self, roots):
+        assert not any(hasattr(f, "_atoms") for f in nodes(roots).values())
+        expected = walking_atom_names(roots)
+        keeping = {id(f) for f in roots if type(f) in (Not, And, Or, Implies)}
+        for _ in range(2):
+            assert _atom_names(roots) == expected
+            assert [atoms(f) for f in roots] == [walking_atom_names([f]) for f in roots]
+            for key, f in nodes(roots).items():
+                assert hasattr(f, "_atoms") == (key in keeping)
+                if key in keeping:
+                    assert type(f._atoms) is tuple
+                    assert sorted(f._atoms) == sorted(walking_atom_names([f]))
+
+    def test_ten_thousand_deep_chains(self):
+        negated, conjoined = A, A
+        for i in range(10_000):
+            negated, conjoined = Not(negated), And(conjoined, Atom(f"p{i % 7}"))
+        names = {"a", *(f"p{i}" for i in range(7))}
+        for _ in range(2):
+            assert atoms(negated) == _atom_names([negated]) == {"a"}
+            assert atoms(conjoined) == names and _atom_names([B, conjoined, TOP]) == names | {"b"}
+        assert negated._atoms == ("a",) and not hasattr(negated.operand, "_atoms")
