@@ -19,7 +19,7 @@ from typing import Callable
 from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables, entails
 from .formula import TOP, And, Formula, _Value, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
-from .output import Verdict, _query_formulas, _triggered
+from .output import Verdict, _query_names, _triggered
 
 __all__ = [
     "Derivation",
@@ -252,7 +252,7 @@ def derive_verdict(
     axiom; otherwise the triggered norms, widened to the input with WI and conjoined in
     norm-set order, are weakened to the goal by one SO, or no derivation exists.
     """
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    tables = _Tables(_query_names(norms, input, goal), atom_limit)
     triggered = list(_triggered(norms, input, tables))
     if tables.entails((), goal):
         certificate = SO(WI(TopIntro(), input), goal)

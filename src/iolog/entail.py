@@ -117,16 +117,17 @@ def _valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
 
 
 class _Tables:
-    """Truth tables over every valuation of the atoms of ``formulas``, for the
-    entailments of one call.  Each formula's mask is computed once, memoised by
-    identity, so ask only about formulas that outlive the tables.  Unless ``whole``,
-    formulas with more atoms than ``_JOINT_ATOMS`` or the limit get no tables, and
-    each entailment is decided over its own atoms.  Either way an entailment raises
-    AtomLimitError only when its own atoms exceed the limit."""
+    """Truth tables over every valuation of the atom ``names``, for the entailments of
+    one call: an engine passes the names of its input and goal and those its norm set
+    keeps (``norms._norm_names``).  Each formula's mask is computed once, memoised by
+    identity, so ask only about formulas that outlive the tables.  Unless ``whole``, more
+    names than ``_JOINT_ATOMS`` or the limit get no tables, and each entailment is
+    decided over its own atoms.  Either way an entailment raises AtomLimitError only when
+    its own atoms exceed the limit."""
 
-    def __init__(self, formulas: Iterable[Formula], atom_limit: int, whole: bool = False):
+    def __init__(self, names: Iterable[str], atom_limit: int, whole: bool = False):
         self.atom_limit = _guard(atom_limit, "atom_limit")
-        self.names = sorted(_atom_names(formulas))
+        self.names = sorted(names)
         self.shared = whole or len(self.names) <= min(atom_limit, _JOINT_ATOMS)
         if self.shared:
             if len(self.names) > atom_limit:
@@ -175,7 +176,7 @@ def counterexample_valuation(
     is deterministic.  Returns None when the entailment holds.
     """
     premises = tuple(premises)
-    tables = _Tables((*premises, conclusion), atom_limit, whole=True)
+    tables = _Tables(_atom_names((*premises, conclusion)), atom_limit, whole=True)
     witnesses = tables.counterexamples(premises, conclusion)
     if not witnesses:
         return None
@@ -191,7 +192,8 @@ def entails(
 ) -> bool:
     """Classical entailment: every valuation satisfying the premises satisfies the conclusion."""
     premises = tuple(premises)
-    return _Tables((*premises, conclusion), atom_limit, whole=True).entails(premises, conclusion)
+    tables = _Tables(_atom_names((*premises, conclusion)), atom_limit, whole=True)
+    return tables.entails(premises, conclusion)
 
 
 def is_tautology(f: Formula, *, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .formula import Formula, FormulaSyntaxError, _Value, parse_formula, print_formula
+from .formula import Formula, FormulaSyntaxError, _atom_names, _Value, parse_formula, print_formula
 
 __all__ = [
     "Norm",
@@ -45,7 +45,7 @@ class Norm(_Value):
 class NormSet(_Value):
     """A finite, ordered collection of norms; iteration follows source order."""
 
-    __slots__ = ("norms",)
+    __slots__ = ("norms", "_names")  # _names: see _norm_names
 
     def __init__(self, norms: Iterable[Norm] = ()):
         object.__setattr__(self, "norms", tuple(norms))
@@ -58,6 +58,23 @@ class NormSet(_Value):
 
     def __getitem__(self, index: int) -> Norm:
         return self.norms[index]
+
+
+def _norm_names(norms: Iterable[Norm], heads: bool = True) -> tuple[str, ...] | set[str]:
+    """The atom names of the norms' bodies, and of their heads unless not ``heads``.  A
+    ``NormSet`` of exactly that class keeps both, the bodies' names and then all, as sorted
+    tuples in its ``_names`` slot for the next call given it; a list, a tuple or an instance
+    of a subclass is walked on every call."""
+    if type(norms) is not NormSet:
+        return _atom_names(f for n in norms for f in ((n.body, n.head) if heads else (n.body,)))
+    try:
+        return norms._names[heads]
+    except AttributeError:  # the first call given norms: equal tuples, if threads race
+        bodies = _atom_names(n.body for n in norms.norms)
+        both = bodies | _atom_names(n.head for n in norms.norms)
+        names = tuple(sorted(bodies)), tuple(sorted(both))
+        object.__setattr__(norms, "_names", names)
+        return names[heads]
 
 
 def render_norm(norm: Norm) -> str:

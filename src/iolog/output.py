@@ -19,8 +19,8 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
-from .formula import And, Formula, _Value
-from .norms import Norm, NormSet
+from .formula import And, Formula, _atom_names, _Value
+from .norms import Norm, NormSet, _norm_names
 
 if TYPE_CHECKING:  # certificate types; imported lazily to avoid cycles
     from .derivation import Derivation
@@ -57,8 +57,12 @@ class Verdict(_Value):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _query_formulas(norms: NormSet, input: Formula, goal: Formula) -> tuple[Formula, ...]:
-    return (input, goal, *(f for n in norms for f in (n.body, n.head)))
+def _query_names(norms: NormSet, *formulas: Formula, heads: bool = True) -> set[str]:
+    """The atom names of ``formulas`` and of the norms' bodies, and heads unless not
+    ``heads``: the universe of a query's tables."""
+    names = _atom_names(formulas)
+    names.update(_norm_names(norms, heads))
+    return names
 
 
 def _triggered(norms: NormSet, input: Formula, tables: _Tables) -> Iterator[Norm]:
@@ -73,7 +77,7 @@ def triggered_heads(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> frozenset[Formula]:
     """Heads of the norms whose body is entailed by the input."""
-    tables = _Tables((input, *(n.body for n in norms)), atom_limit)
+    tables = _Tables(_query_names(norms, input, heads=False), atom_limit)
     return frozenset(n.head for n in _triggered(norms, input, tables))
 
 
@@ -99,7 +103,7 @@ def out1_member(
     triggered head this degenerates to a tautology check: tautologies are
     output in every situation, nothing else is.
     """
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    tables = _Tables(_query_names(norms, input, goal), atom_limit)
     heads = frozenset(n.head for n in _triggered(norms, input, tables))
     return Verdict(tables.entails(heads, goal), "semantic", triggered=heads)
 
@@ -174,7 +178,7 @@ def out1_triple_approx(
     distinct heads are missed.  Past the shared tables, each triple's
     entailment is decided over its own atoms.
     """
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit)
+    tables = _Tables(_query_names(norms, input, goal), atom_limit)
     triggered = list(_triggered(norms, input, tables))
     heads = frozenset(n.head for n in triggered)
     if tables.shared:

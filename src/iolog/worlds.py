@@ -24,9 +24,9 @@ from typing import Callable, Literal, Mapping
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
-from .formula import Formula, _atom_names, _Value
+from .formula import Formula, _Value
 from .norms import NormSet
-from .output import Verdict, _holds, _masks, _query_formulas, triggered_heads
+from .output import Verdict, _holds, _masks, _query_names, triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -161,7 +161,7 @@ def find_countermodel(
     """
     _guard(max_worlds, "max_worlds", 1)
     _guard(budget, "budget")
-    names = sorted(_atom_names(_query_formulas(query.norms, query.input, query.goal)))
+    names = sorted(_query_names(query.norms, query.input, query.goal))
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
     env, full = _valuation_masks(names)
@@ -222,7 +222,7 @@ def naive_unfold_valid(
     validates claims the real operation rejects.
     """
     LiftedQuery(norms, input, goal, mode)  # rejects an unknown mode
-    tables = _Tables(_query_formulas(norms, input, goal), atom_limit, whole=True)
+    tables = _Tables(_query_names(norms, input, goal), atom_limit, whole=True)
     return not _one_world_failures(mode, _masks(norms, input, goal, mode, tables.truth, tables.full))
 
 

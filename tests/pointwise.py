@@ -28,6 +28,8 @@ did before each mask came from the previous one by one shift and one XOR:
 it adds the names last to first, doubling every mask built so far.
 ``walking_atom_names`` collects atom names as iolog did before a ``Not`` or
 binary node kept its own: one iterative walk of every formula, on every call.
+``walking_query_names`` reads a query's universe as iolog did before a
+``NormSet`` kept its norms' atom names: every formula of the query, every call.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from iolog import (
     render_norm,
     source_ordered_heads,
 )
-from iolog.formula import MAX_DEPTH, _as_node, _Token
+from iolog.formula import MAX_DEPTH, _as_node, _atom_names, _Token
 
 
 def doubling_valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
@@ -96,6 +98,15 @@ def walking_atom_names(formulas) -> set[str]:
         elif t is not Top and t is not Bottom:
             stack.append(_as_node(f))
     return names
+
+
+def walking_query_names(norms, input, goal=None) -> set[str]:
+    """The names ``_atom_names`` finds in the input, the goal and every norm's body and head:
+    ``_atom_names(output._query_formulas(...))``.  Without a goal, the input's and the
+    bodies', the names ``triggered_heads`` read."""
+    if goal is None:
+        return _atom_names((input, *(n.body for n in norms)))
+    return _atom_names((input, goal, *(f for n in norms for f in (n.body, n.head))))
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:

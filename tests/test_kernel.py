@@ -43,7 +43,7 @@ from iolog import (
 )
 from iolog import output, worlds
 from iolog.entail import _JOINT_ATOMS, _Tables, _valuation_masks
-from iolog.output import _query_formulas
+from iolog.output import _query_names
 from pointwise import (
     doubling_valuation_masks,
     first_counterexample,
@@ -336,7 +336,7 @@ class TestTripleKernel:
     @pytest.mark.parametrize("norms, shared", [(FOUR_HEADS, True), (WIDE_FOUR_HEADS, False)])
     def test_four_heads_escape_every_triple(self, norms, shared):
         input = Atom("a")
-        assert _Tables(_query_formulas(norms, input, FOUR_GOAL), DEFAULT_ATOM_LIMIT).shared is shared
+        assert _Tables(_query_names(norms, input, FOUR_GOAL), DEFAULT_ATOM_LIMIT).shared is shared
         verdict = out1_triple_approx(norms, input, FOUR_GOAL)
         assert verdict == per_entailment_out1_triple_approx(norms, input, FOUR_GOAL)
         assert verdict.holds is False
