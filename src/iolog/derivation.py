@@ -16,10 +16,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable
 
-from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables, entails
+from .entail import DEFAULT_ATOM_LIMIT, _guard, entails
 from .formula import TOP, And, Formula, _Value, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
-from .output import Verdict, _query_names, _triggered
+from .output import Verdict, _trigger
 
 __all__ = [
     "Derivation",
@@ -252,15 +252,13 @@ def derive_verdict(
     axiom; otherwise the triggered norms, widened to the input with WI and conjoined in
     norm-set order, are weakened to the goal by one SO, or no derivation exists.
     """
-    tables = _Tables(_query_names(norms, input, goal), atom_limit)
-    triggered = list(_triggered(norms, input, tables))
+    tables, triggered, heads = _trigger(norms, input, goal, atom_limit=atom_limit)
     if tables.entails((), goal):
         certificate = SO(WI(TopIntro(), input), goal)
-    elif triggered and tables.entails([n.head for n in triggered], goal):
+    elif triggered and tables.entails(heads, goal):
         certificate = SO(reduce(AND, [WI(AxiomLeaf(n), input) for n in triggered]), goal)
     else:
         certificate = None
-    heads = frozenset(n.head for n in triggered)
     return Verdict(certificate is not None, "derivation", triggered=heads, certificate=certificate)
 
 

@@ -60,21 +60,18 @@ class NormSet(_Value):
         return self.norms[index]
 
 
-def _norm_names(norms: Iterable[Norm], heads: bool = True) -> tuple[str, ...] | set[str]:
-    """The atom names of the norms' bodies, and of their heads unless not ``heads``.  A
-    ``NormSet`` of exactly that class keeps both, the bodies' names and then all, as sorted
-    tuples in its ``_names`` slot for the next call given it; a list, a tuple or an instance
-    of a subclass is walked on every call."""
+def _norm_names(norms: Iterable[Norm]) -> tuple[str, ...] | set[str]:
+    """The atom names of the norms' bodies and heads.  A ``NormSet`` of exactly that class
+    keeps them, as one sorted tuple in its ``_names`` slot, for the next call given it; a
+    list, a tuple or an instance of a subclass is walked on every call."""
     if type(norms) is not NormSet:
-        return _atom_names(f for n in norms for f in ((n.body, n.head) if heads else (n.body,)))
+        return _atom_names(f for n in norms for f in (n.body, n.head))
     try:
-        return norms._names[heads]
+        return norms._names
     except AttributeError:  # the first call given norms: equal tuples, if threads race
-        bodies = _atom_names(n.body for n in norms.norms)
-        both = bodies | _atom_names(n.head for n in norms.norms)
-        names = tuple(sorted(bodies)), tuple(sorted(both))
+        names = tuple(sorted(_norm_names(norms.norms)))
         object.__setattr__(norms, "_names", names)
-        return names[heads]
+        return names
 
 
 def render_norm(norm: Norm) -> str:

@@ -16,7 +16,7 @@ the lifted three-witness test read over every valuation: one kernel,
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula, _atom_names, _Value
@@ -57,17 +57,22 @@ class Verdict(_Value):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _query_names(norms: NormSet, *formulas: Formula, heads: bool = True) -> set[str]:
-    """The atom names of ``formulas`` and of the norms' bodies, and heads unless not
-    ``heads``: the universe of a query's tables."""
+def _query_names(norms: NormSet, *formulas: Formula) -> set[str]:
+    """The atom names of ``formulas`` and of the norms' bodies and heads: the universe of a
+    query's tables."""
     names = _atom_names(formulas)
-    names.update(_norm_names(norms, heads))
+    names.update(_norm_names(norms))
     return names
 
 
-def _triggered(norms: NormSet, input: Formula, tables: _Tables) -> Iterator[Norm]:
-    """The norms whose body the input entails, lazily in norm-set order."""
-    return (n for n in norms if tables.entails((input,), n.body))
+def _trigger(
+    norms: NormSet, input: Formula, *goal: Formula, atom_limit: int
+) -> tuple[_Tables, list[Norm], frozenset[Formula]]:
+    """One engine call's set-up: its tables over the atoms of the input, any goal and the
+    norms; the norms whose body the input entails, in norm-set order; and their heads."""
+    tables = _Tables(_query_names(norms, input, *goal), atom_limit)
+    triggered = [n for n in norms if tables.entails((input,), n.body)]
+    return tables, triggered, frozenset(n.head for n in triggered)
 
 
 def triggered_heads(
@@ -77,8 +82,7 @@ def triggered_heads(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> frozenset[Formula]:
     """Heads of the norms whose body is entailed by the input."""
-    tables = _Tables(_query_names(norms, input, heads=False), atom_limit)
-    return frozenset(n.head for n in _triggered(norms, input, tables))
+    return _trigger(norms, input, atom_limit=atom_limit)[2]
 
 
 def source_ordered_heads(norms: NormSet, heads: frozenset[Formula]) -> tuple[Formula, ...]:
@@ -103,8 +107,7 @@ def out1_member(
     triggered head this degenerates to a tautology check: tautologies are
     output in every situation, nothing else is.
     """
-    tables = _Tables(_query_names(norms, input, goal), atom_limit)
-    heads = frozenset(n.head for n in _triggered(norms, input, tables))
+    tables, _, heads = _trigger(norms, input, goal, atom_limit=atom_limit)
     return Verdict(tables.entails(heads, goal), "semantic", triggered=heads)
 
 
@@ -152,6 +155,15 @@ def _masks(
     return full ^ goal, masks
 
 
+def _one_world_failures(mode: str, masks: tuple[int, list]) -> int:
+    """Mask of the points that falsify the claim as one-world models: where every norm
+    misfits (outpre), or the goal fails and each norm misses or has a true head (out1)."""
+    fails, norms = masks
+    for misfit in norms if mode == "outpre" else (missed | head for missed, head in norms):
+        fails &= misfit
+    return fails
+
+
 def _holds(mode: str, masks: tuple[int, list], sel: int) -> bool:
     """The lifted test in a model whose worlds carry exactly the points in ``sel``; over
     every valuation, ``sel = full``, the out1 test is the triple engine."""
@@ -178,9 +190,7 @@ def out1_triple_approx(
     distinct heads are missed.  Past the shared tables, each triple's
     entailment is decided over its own atoms.
     """
-    tables = _Tables(_query_names(norms, input, goal), atom_limit)
-    triggered = list(_triggered(norms, input, tables))
-    heads = frozenset(n.head for n in triggered)
+    tables, triggered, heads = _trigger(norms, input, goal, atom_limit=atom_limit)
     if tables.shared:
         full = tables.full
         holds = _holds("out1", _masks(triggered, input, goal, "out1", tables.mask, full), full)

@@ -26,7 +26,7 @@ from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
 from .formula import Formula, _Value
 from .norms import NormSet
-from .output import Verdict, _holds, _masks, _query_names, triggered_heads
+from .output import Verdict, _holds, _masks, _one_world_failures, _query_names, triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -106,15 +106,6 @@ def lifted_extension(f: Formula, model: WorldModel) -> frozenset[int]:
 def lifted_valid(f: Formula, model: WorldModel) -> bool:
     """A lifted formula is valid when it holds at every world of the model."""
     return lifted_extension(f, model) == model.worlds
-
-
-def _one_world_failures(mode: Mode, masks: tuple[int, list]) -> int:
-    """Mask of the points that falsify the claim as one-world models: where every norm
-    misfits (outpre), or the goal fails and each norm misses or has a true head (out1)."""
-    fails, norms = masks
-    for misfit in norms if mode == "outpre" else (missed | head for missed, head in norms):
-        fails &= misfit
-    return fails
 
 
 def outpre_member_lifted(norms: NormSet, input: Formula, goal: Formula, model: WorldModel) -> bool:

@@ -12,7 +12,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from iolog import (
     BOTTOM,
@@ -29,7 +29,11 @@ from iolog import (
     Top,
 )
 
-settings.register_profile("iolog", deadline=None)
+# No explain phase: it re-runs a failing example many times to annotate it, which made a
+# failing differential test several times slower to report than its shrunk example.
+settings.register_profile(
+    "iolog", deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+)
 settings.load_profile("iolog")
 
 

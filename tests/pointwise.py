@@ -100,13 +100,10 @@ def walking_atom_names(formulas) -> set[str]:
     return names
 
 
-def walking_query_names(norms, input, goal=None) -> set[str]:
-    """The names ``_atom_names`` finds in the input, the goal and every norm's body and head:
-    ``_atom_names(output._query_formulas(...))``.  Without a goal, the input's and the
-    bodies', the names ``triggered_heads`` read."""
-    if goal is None:
-        return _atom_names((input, *(n.body for n in norms)))
-    return _atom_names((input, goal, *(f for n in norms for f in (n.body, n.head))))
+def walking_query_names(norms, *formulas) -> set[str]:
+    """The names ``_atom_names`` finds in ``formulas`` (an input, and any goal) and every
+    norm's body and head: ``_atom_names(output._query_formulas(...))``."""
+    return _atom_names((*formulas, *(f for n in norms for f in (n.body, n.head))))
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:

@@ -357,7 +357,25 @@ class TestTripleKernel:
         out1_triple_approx(norms, Atom("a"), FOUR_GOAL)
         assert len(asked) == calls
 
-    @pytest.mark.parametrize("name", ["_masks", "_holds"])
+    @pytest.mark.parametrize("name", ["_masks", "_holds", "_one_world_failures"])
     def test_output_alone_defines_the_kernel(self, name):
         assert getattr(worlds, name) is getattr(output, name)
         assert getattr(output, name).__module__ == "iolog.output"
+
+
+class TestOneWorldFailures:
+    """The one-world fold that the naive unfolding and the countermodel search's first size
+    read, against the three-witness test in each one-world model."""
+
+    @settings(max_examples=300)
+    @given(norm_sets(WIDE, max_norms=5), formulas(WIDE, 6), formulas(WIDE, 6), MODES)
+    def test_a_point_fails_exactly_where_its_one_world_model_does(self, norms, input, goal, mode):
+        """Over every valuation of at most five atoms, bit p is set exactly when the model
+        whose one world carries valuation p falsifies the claim."""
+        tables = _Tables(_query_names(norms, input, goal), DEFAULT_ATOM_LIMIT, whole=True)
+        masks = output._masks(norms, input, goal, mode, tables.truth, tables.full)
+        fails = output._one_world_failures(mode, masks)
+        points = tables.full.bit_length()
+        assert fails >> points == 0
+        for p in range(points):
+            assert bool(fails >> p & 1) is not output._holds(mode, masks, 1 << p)

@@ -98,12 +98,11 @@ class TestUniverse:
         triggering = walking_query_names(norms, input)
         for _ in range(2):  # before the names are kept, and after
             assert _query_names(norms, input, goal) == everything
-            assert _query_names(norms, input, heads=False) == triggering
+            assert _query_names(norms, input) == triggering
             assert hasattr(norms, "_names") == (type(norms) is NormSet)
         if type(norms) is NormSet:
-            bodies = set().union(*(oracle_atoms(n.body) for n in norms))
-            heads = set().union(*(oracle_atoms(n.head) for n in norms))
-            assert norms._names == (tuple(sorted(bodies)), tuple(sorted(bodies | heads)))
+            names = set().union(*(oracle_atoms(f) for n in norms for f in (n.body, n.head)))
+            assert norms._names == tuple(sorted(names))
 
     @settings(max_examples=150)
     @given(norm_collections(), QUERY_FORMULAS, QUERY_FORMULAS, st.integers(0, 4))
@@ -126,9 +125,10 @@ class TestUniverse:
             assert lifted == outcome(walk_lifted_verdict, norms, input, goal, limit, 2)
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
-    def test_triggered_heads_leaves_the_heads_out(self, monkeypatch, kind):
-        """The heads have three atoms, past the limit of 1; the input and the bodies one,
-        so a single table is shared over it."""
+    def test_triggered_heads_counts_the_heads_in_its_universe(self, monkeypatch, kind):
+        """The heads have three atoms and the input and the bodies one: the universe is
+        past the limit of 1, so no table is shared, and each entailment of one atom is
+        decided over its own.  ``EveryOther`` never reads the norm ``(!a, e)``."""
         built = []
 
         class Recorded(_Tables):
@@ -140,7 +140,8 @@ class TestUniverse:
         norms = kind([Norm(A, And(B, C)), Norm(Not(A), E), Norm(TOP, D)])
         for _ in range(2):
             assert triggered_heads(norms, A, atom_limit=1) == {And(B, C), D}
-        assert built == [(["a"], True)] * 2
+        universe = list("abcd" if kind is EveryOther else "abcde")
+        assert built == [(universe, False)] * 2
 
 
 # The six engines, each asked (norms, input, goal).
@@ -166,11 +167,11 @@ class TestSlot:
         before = repr(norms), hash(norms), pickle.dumps(norms)
         for _ in range(2):  # before the names are kept, and after
             with pytest.raises(FrozenInstanceError):
-                norms._names = ((), ())
+                norms._names = ()
             with pytest.raises(FrozenInstanceError):
                 delattr(norms, "_names")
             assert out1_member(norms, A, Or(B, E)).holds
-        assert norms._names == (("a",), ("a", "b", "c", "d"))
+        assert norms._names == ("a", "b", "c", "d")
         assert (repr(norms), hash(norms), pickle.dumps(norms)) == before
         fresh = NormSet(norms.norms)
         assert norms == fresh and fresh == norms and hash(fresh) == hash(norms)
@@ -184,13 +185,12 @@ class TestSlot:
 
     def test_threads_filling_one_cache_agree(self):
         norms = NormSet(Norm(Or(Atom(f"p{i}"), A), Not(Atom(f"q{i}"))) for i in range(200))
-        bodies = tuple(sorted({"a", *(f"p{i}" for i in range(200))}))
-        both = tuple(sorted({*bodies, *(f"q{i}" for i in range(200))}))
+        names = tuple(sorted({"a", *(f"p{i}" for i in range(200)), *(f"q{i}" for i in range(200))}))
         start, results = threading.Barrier(4), [None] * 4
 
         def read(k):
             start.wait()
-            results[k] = (_norm_names(norms, heads=False), _norm_names(norms))
+            results[k] = _norm_names(norms)
 
         threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
@@ -203,7 +203,7 @@ class TestSlot:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [(bodies, both)] * 4 and norms._names == (bodies, both)
+        assert results == [names] * 4 and norms._names == names
 
     @pytest.mark.parametrize("engine", range(len(ENGINES)))
     def test_lists_and_tuples_go_through_every_engine_uncached(self, engine):
