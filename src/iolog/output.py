@@ -9,14 +9,17 @@ never counts as its own output.
 The exact operation is decided from the full triggered-head set.  The
 three-witness approximation, which only sees consequences of at most
 three triggered heads (plus a tautology escape for the empty case), is
-the lifted three-witness test read over every valuation: one kernel,
-``_holds``, decides it here and in the models of :mod:`iolog.worlds`.
+the lifted three-witness test read over every valuation.  One kernel
+decides that test here and in the models of :mod:`iolog.worlds`: each
+witness has a mask, the points where it fails (``_witnesses``), and the
+test holds on a set of points exactly when some witness's mask misses the
+set (``_holds``); over every point, exactly when some mask is ``0``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .entail import DEFAULT_ATOM_LIMIT, _Tables
 from .formula import And, Formula, _atom_names, _Value
@@ -164,15 +167,27 @@ def _one_world_failures(mode: str, masks: tuple[int, list]) -> int:
     return fails
 
 
-def _holds(mode: str, masks: tuple[int, list], sel: int) -> bool:
-    """The lifted test in a model whose worlds carry exactly the points in ``sel``; over
-    every valuation, ``sel = full``, the out1 test is the triple engine."""
-    fails, norms = masks[0] & sel, masks[1]
-    if mode == "outpre":  # some norm fits at every world
-        return any(not misfit & sel for misfit in norms)
-    heads = {head & fails for missed, head in norms if not missed & sel}  # of covering norms
-    triples = itertools.combinations_with_replacement(heads, 3)
-    return not fails or any(not h & i & j for h, i, j in triples)
+def _witnesses(mode: str, masks: tuple[int, list]) -> Iterator[int]:
+    """The lifted test's witness masks, lazily, each the points where one witness fails.
+    outpre's witnesses are its norms, each failing where it misfits.  out1's are the goal,
+    failing where it does, and each multiset triple of distinct (where the body misses,
+    where the head holds and the goal fails) pairs, failing where one of its bodies misses
+    or all three heads hold where the goal fails.  k distinct pairs give at most
+    C(k + 2, 3) + 1 out1 masks; over 2^n points at most 2^(2^n) of them are distinct."""
+    fails, norms = masks
+    if mode == "outpre":
+        yield from norms
+        return
+    yield fails
+    pairs = dict.fromkeys((missed, head & fails) for missed, head in norms)
+    for (m1, h1), (m2, h2), (m3, h3) in itertools.combinations_with_replacement(pairs, 3):
+        yield m1 | m2 | m3 | h1 & h2 & h3
+
+
+def _holds(witnesses: Iterable[int], sel: int) -> bool:
+    """The lifted test in a model whose worlds carry exactly the points in ``sel``: some
+    witness never fails there.  Over every point it holds exactly when ``0`` is a mask."""
+    return not all(w & sel for w in witnesses)
 
 
 def out1_triple_approx(
@@ -192,8 +207,8 @@ def out1_triple_approx(
     """
     tables, triggered, heads = _trigger(norms, input, goal, atom_limit=atom_limit)
     if tables.shared:
-        full = tables.full
-        holds = _holds("out1", _masks(triggered, input, goal, "out1", tables.mask, full), full)
+        masks = _masks(triggered, input, goal, "out1", tables.mask, tables.full)
+        holds = 0 in _witnesses("out1", masks)
     else:
         triples = itertools.combinations_with_replacement(source_ordered_heads(norms, heads), 3)
         holds = tables.entails((), goal) or any(tables.entails(t, goal) for t in triples)

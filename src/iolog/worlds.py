@@ -12,7 +12,8 @@ one that at every valuation some norm fit.
 
 The lifted output operation is the three-witness encoding (with a
 tautology disjunct for the no-triggered-norm case).  Its test lives in
-:mod:`iolog.output`, whose triple engine reads it over every valuation.
+:mod:`iolog.output`, whose triple engine reads it over every valuation:
+the witness masks, and the test of a set of points against them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
 from .formula import Formula, _Value
 from .norms import NormSet
-from .output import Verdict, _holds, _masks, _one_world_failures, _query_names, triggered_heads
+from .output import Verdict, _holds, _masks, _one_world_failures, _query_names, _witnesses
+from .output import triggered_heads
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -116,16 +118,14 @@ def outpre_member_lifted(norms: NormSet, input: Formula, goal: Formula, model: W
     witness must equal some norm body extensionally, so trying exactly the
     norm bodies is exhaustive.
     """
-    mask, full = _model_masks(model)
-    return _holds("outpre", _masks(norms, input, goal, "outpre", mask, full), full)
+    return 0 in _witnesses("outpre", _masks(norms, input, goal, "outpre", *_model_masks(model)))
 
 
 def out1_member_lifted(norms: NormSet, input: Formula, goal: Formula, model: WorldModel) -> bool:
     """Lifted output membership, three-witness style: the goal is valid outright, or
     follows (validly, pointwise) from three pre-output members, repetition allowed:
     heads of norms whose body covers the input at every world."""
-    mask, full = _model_masks(model)
-    return _holds("out1", _masks(norms, input, goal, "out1", mask, full), full)
+    return 0 in _witnesses("out1", _masks(norms, input, goal, "out1", *_model_masks(model)))
 
 
 def find_countermodel(
@@ -145,10 +145,12 @@ def find_countermodel(
 
     A lifted verdict depends only on the set of valuations the worlds carry,
     so a model repeating one has the verdict of a smaller model, which comes
-    first.  The search tests sets of distinct valuations over masks of all 2^n
-    valuations of the n query atoms: one world is the naive unfolding, and at
-    W worlds it takes the least arrangement (valuations from highest to
-    lowest) of a falsifying set.  Absence past 2^n worlds is exact.
+    first.  The search reads masks of all 2^n valuations of the n query atoms.
+    One world is the naive unfolding.  Past it the witness masks are built
+    once, and a set of W distinct valuations, the sum of their one-bit masks,
+    falsifies when it meets every witness mask; the search takes the least
+    arrangement (valuations from highest to lowest) of a falsifying set.
+    Absence past 2^n worlds is exact.
     """
     _guard(max_worlds, "max_worlds", 1)
     _guard(budget, "budget")
@@ -159,21 +161,22 @@ def find_countermodel(
     masks = _masks(*query._values, lambda f: _truth_mask(f, env, full), full)  # its four fields
 
     def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # by atom name, its world mask
-        return tuple(sum((c >> v & 1) << w for w, v in enumerate(chosen)) for c in env.values())
+        return tuple(sum(1 << w for w, bit in enumerate(chosen) if c & bit) for c in env.values())
 
     fails = _one_world_failures(query.mode, masks)
-    least = ((fails & -fails).bit_length() - 1,) if fails else None  # the lowest valuation
-    world_count = 1
-    while least is None and world_count < min(max_worlds, full.bit_length()):
+    least = (fails & -fails,) if fails else None  # the lowest valuation's one-bit mask
+    world_count, points, family = 1, full.bit_length(), ()
+    while least is None and world_count < min(max_worlds, points):
         world_count += 1
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
-        sets = itertools.combinations(range(full.bit_length() - 1, -1, -1), world_count)
-        falsifying = (c for c in sets if not _holds(query.mode, masks, sum(1 << v for v in c)))
+        family = family or tuple(dict.fromkeys(_witnesses(query.mode, masks)))  # past the guard
+        sets = itertools.combinations([1 << v for v in range(points - 1, -1, -1)], world_count)
+        falsifying = (c for c in sets if not _holds(family, sum(c)))
         least = min(falsifying, key=arrangement, default=None)
     if least is None:
         return None
-    extension = {name: {w for w, v in enumerate(least) if env[name] >> v & 1} for name in names}
+    extension = {name: {w for w, bit in enumerate(least) if env[name] & bit} for name in names}
     return WorldModel(len(least), extension)
 
 

@@ -30,6 +30,9 @@ it adds the names last to first, doubling every mask built so far.
 binary node kept its own: one iterative walk of every formula, on every call.
 ``walking_query_names`` reads a query's universe as iolog did before a
 ``NormSet`` kept its norms' atom names: every formula of the query, every call.
+``two_branch_holds`` is the lifted three-witness test as iolog wrote it
+before the test read witness masks: one branch per mode over the masks of
+``output._masks``, rebuilding the covering norms' heads for every point set.
 """
 
 from __future__ import annotations
@@ -104,6 +107,16 @@ def walking_query_names(norms, *formulas) -> set[str]:
     """The names ``_atom_names`` finds in ``formulas`` (an input, and any goal) and every
     norm's body and head: ``_atom_names(output._query_formulas(...))``."""
     return _atom_names((*formulas, *(f for n in norms for f in (n.body, n.head))))
+
+
+def two_branch_holds(mode: str, masks: tuple[int, list], sel: int) -> bool:
+    """The lifted test in a model whose worlds carry exactly the points in ``sel``."""
+    fails, norms = masks[0] & sel, masks[1]
+    if mode == "outpre":  # some norm fits at every world
+        return any(not misfit & sel for misfit in norms)
+    heads = {head & fails for missed, head in norms if not missed & sel}  # of covering norms
+    triples = itertools.combinations_with_replacement(heads, 3)
+    return not fails or any(not h & i & j for h, i, j in triples)
 
 
 def walk_extension(f, model: WorldModel) -> frozenset[int]:

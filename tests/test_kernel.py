@@ -1,13 +1,14 @@
 """The bit-mask engines against the pointwise references in ``pointwise.py``."""
 
 import itertools
+import operator
 from functools import reduce
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas, norm_sets, oracle_eval
+from conftest import formulas, norm_sets, oracle_eval, oracle_valuations
 from iolog import (
     DEFAULT_ATOM_LIMIT,
     TOP,
@@ -52,6 +53,7 @@ from pointwise import (
     per_entailment_out1_member,
     per_entailment_out1_triple_approx,
     per_entailment_triggered_heads,
+    two_branch_holds,
     walk_extension,
     walk_find_countermodel,
     walk_naive_unfold_valid,
@@ -357,7 +359,7 @@ class TestTripleKernel:
         out1_triple_approx(norms, Atom("a"), FOUR_GOAL)
         assert len(asked) == calls
 
-    @pytest.mark.parametrize("name", ["_masks", "_holds", "_one_world_failures"])
+    @pytest.mark.parametrize("name", ["_masks", "_witnesses", "_holds", "_one_world_failures"])
     def test_output_alone_defines_the_kernel(self, name):
         assert getattr(worlds, name) is getattr(output, name)
         assert getattr(output, name).__module__ == "iolog.output"
@@ -375,7 +377,144 @@ class TestOneWorldFailures:
         tables = _Tables(_query_names(norms, input, goal), DEFAULT_ATOM_LIMIT, whole=True)
         masks = output._masks(norms, input, goal, mode, tables.truth, tables.full)
         fails = output._one_world_failures(mode, masks)
+        family = list(output._witnesses(mode, masks))
         points = tables.full.bit_length()
         assert fails >> points == 0
         for p in range(points):
-            assert bool(fails >> p & 1) is not output._holds(mode, masks, 1 << p)
+            assert bool(fails >> p & 1) is not output._holds(family, 1 << p)
+
+
+@st.composite
+def shaped_masks(draw, mode):
+    """``full`` and masks shaped as ``output._masks`` returns them, over at most six points
+    and five norms: outpre fails anywhere and reads a misfit per norm, out1 reads where the
+    goal fails and a (where the body misses, head) pair per norm."""
+    full = (1 << draw(st.integers(1, 6))) - 1
+    mask = st.integers(0, full)
+    if mode == "outpre":
+        return full, (full, draw(st.lists(mask, max_size=5)))
+    return full, (draw(mask), draw(st.lists(st.tuples(mask, mask), max_size=5)))
+
+
+class TestWitnesses:
+    """The witness masks against the two-branch test they replaced, at every point set."""
+
+    @settings(max_examples=300)
+    @given(st.data(), MODES)
+    def test_holds_matches_the_two_branch_test(self, data, mode):
+        full, masks = data.draw(shaped_masks(mode))
+        family = list(output._witnesses(mode, masks))
+        for sel in range(full + 1):
+            assert output._holds(family, sel) is two_branch_holds(mode, masks, sel)
+
+    @settings(max_examples=300)
+    @given(st.data(), MODES)
+    def test_one_world_failures_are_where_every_witness_fails(self, data, mode):
+        full, masks = data.draw(shaped_masks(mode))
+        witnesses = output._witnesses(mode, masks)
+        assert output._one_world_failures(mode, masks) == reduce(operator.and_, witnesses, full)
+
+
+@st.composite
+def small_queries(draw, mode):
+    names = draw(st.sampled_from([(), ("a",), ("a", "b"), NAMES]))
+    norms = draw(norm_sets(names, max_norms=3))
+    return LiftedQuery(norms, *(draw(formulas(names, max_leaves=4)) for _ in "ig"), mode)
+
+
+def query_masks(query):
+    """``full`` and the masks the countermodel search reads, over every valuation."""
+    names = _query_names(query.norms, query.input, query.goal)
+    tables = _Tables(names, DEFAULT_ATOM_LIMIT, whole=True)
+    return tables.full, output._masks(*query._values, tables.truth, tables.full)
+
+
+class TestAbsencePins:
+    """Two facts a one-shot absence check would rest on, at up to three atoms; the search
+    itself does not use them."""
+
+    @settings(max_examples=100)
+    @given(st.data(), MODES)
+    def test_falsification_is_upward_closed(self, data, mode):
+        query = data.draw(small_queries(mode))
+        full, masks = query_masks(query)
+        family = list(output._witnesses(mode, masks))
+        falsifying = [sel for sel in range(1, full + 1) if not output._holds(family, sel)]
+        for sel in falsifying:
+            for p in range(full.bit_length()):
+                assert not output._holds(family, sel | 1 << p)
+
+    @settings(max_examples=100)
+    @given(st.data(), MODES)
+    def test_a_zero_mask_is_absence_at_every_world_count(self, data, mode):
+        """At n <= 2 atoms the old enumerator runs all 2^n world counts.  At 3 its 2^24
+        models of 8 worlds are out of reach, so the tree walker reads one model per
+        non-empty set of valuations instead, each valuation at its own world: a model that
+        repeats a valuation has the verdict of the one without the repeat."""
+        query = data.draw(small_queries(mode))
+        full, masks = query_masks(query)
+        absent = 0 in output._witnesses(mode, masks)
+        names = sorted(_query_names(query.norms, query.input, query.goal))
+        if len(names) <= 2:
+            assert absent is (walk_find_countermodel(query, full.bit_length()) is None)
+        member = walk_outpre_member if mode == "outpre" else walk_out1_member
+        valuations = list(oracle_valuations(names))
+        models = (
+            WorldModel(size, {n: {w for w, v in enumerate(chosen) if v[n]} for n in names})
+            for size in range(1, len(valuations) + 1)
+            for chosen in itertools.combinations(valuations, size)
+        )
+        assert absent is all(member(query.norms, query.input, query.goal, m) for m in models)
+
+
+# Forty heads with forty distinct masks over a-d: each literal, and each conjunction of
+# three literals over distinct atoms.  Norm i's body is atom i of a-d, cyclically.
+FORTY_HEADS = [sign + x for x in "abcd" for sign in ("", "!")] + [
+    " & ".join(sign + x for sign, x in zip(signs, trio))
+    for trio in itertools.combinations("abcd", 3)
+    for signs in itertools.product(("", "!"), repeat=3)
+]
+FORTY = parse_norms("".join(f"({'abcd'[i % 4]}, {head})\n" for i, head in enumerate(FORTY_HEADS)))
+
+
+class TestManyNorms:
+    """k distinct (where the body misses, head where the goal fails) pairs give at most
+    C(k + 2, 3) + 1 out1 witness masks, one per multiset triple and the goal's, and over
+    the 2^n valuations of n atoms at most 2^(2^n) of them are distinct."""
+
+    def test_forty_heads_bound_the_family(self):
+        query = LiftedQuery(FORTY, parse_formula("a | b"), parse_formula("a | b"), "out1")
+        full, masks = query_masks(query)
+        assert len({head for _, head in masks[1]}) == 40
+        pairs = len({(missed, head & masks[0]) for missed, head in masks[1]})
+        triples = (pairs + 2) * (pairs + 1) * pairs // 6
+        assert sum(1 for _ in output._witnesses("out1", masks)) == triples + 1
+
+    @pytest.mark.parametrize(
+        "input, goal, out1_worlds",
+        [("a | b", "a | b", 3), ("(a & b) | (c & d)", "a -> b", 3), ("c | d", "a", 2), ("a", "b", None)],
+    )
+    @pytest.mark.parametrize("mode", ["outpre", "out1"])
+    def test_search_at_three_worlds_matches_the_old_enumerator(self, input, goal, out1_worlds, mode):
+        """outpre finds two worlds for each query."""
+        query = LiftedQuery(FORTY, parse_formula(input), parse_formula(goal), mode)
+        model = find_countermodel(query, 3)
+        assert model == walk_find_countermodel(query, 3)
+        assert (model and model.world_count) == (out1_worlds if mode == "out1" else 2)
+
+    @pytest.mark.parametrize("mode", ["outpre", "out1"])
+    def test_a_one_world_countermodel_builds_no_family(self, monkeypatch, mode):
+        """200 norms whose heads all hold where ``a`` does; the goal is a fresh atom."""
+        bodies = ("a", "b", "c", "d", "true")
+        norms = parse_norms("".join(f"({b}, a | {h})\n" for b in bodies for h in FORTY_HEADS))
+        assert len(norms) == 200
+
+        def refuse(mode, masks):
+            raise AssertionError("the witness family was built")
+
+        monkeypatch.setattr(output, "_witnesses", refuse)
+        monkeypatch.setattr(worlds, "_witnesses", refuse)
+        query = LiftedQuery(norms, Atom("a"), Atom("e"), mode)
+        model = find_countermodel(query, 4)
+        assert model.world_count == 1
+        assert model == walk_find_countermodel(query, 1)
