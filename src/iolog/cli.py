@@ -20,8 +20,8 @@ from typing import Sequence
 # Only the layers every subcommand uses load here; the others are imported
 # where a subcommand or engine needs them, so a run loads no layer it does not use.
 from .entail import (
-    _DEFAULT_MAX_WORLDS, DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, AtomLimitError,
-    SearchBudgetError, UnboundAtomError,
+    _DEFAULT_MAX_WORLDS, _TABLE_CEILING, DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET,
+    AtomLimitError, SearchBudgetError, UnboundAtomError,
 )
 from .formula import Formula, FormulaSyntaxError, parse_formula, print_formula
 from .norms import NormSet, NormSyntaxError, load_norms, render_norm
@@ -46,9 +46,12 @@ def _bound(text: str) -> int:
 
 
 _BOUNDS = {  # each bound flag's default and help
-    "--atom-limit": (DEFAULT_ATOM_LIMIT, "most distinct atoms an entailment may involve"),
+    "--atom-limit": (DEFAULT_ATOM_LIMIT, "most distinct atoms an entailment may involve; "
+                     f"whatever the limit, no table spans more than {_TABLE_CEILING}"),
     "--max-worlds": (_DEFAULT_MAX_WORLDS, "largest world count the countermodel search tries"),
-    "--budget": (DEFAULT_SEARCH_BUDGET, "guard on worlds x atoms before a size is enumerated"),
+    "--budget": (DEFAULT_SEARCH_BUDGET, "guard on worlds x atoms before a size is enumerated; "
+                 f"whatever the budget, a search spans at most {_TABLE_CEILING} atoms, "
+                 f"and {_TABLE_CEILING // 2} past one world"),
 }
 
 

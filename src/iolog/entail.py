@@ -7,7 +7,8 @@ Entailment's universe is every valuation of the atoms involved, guarded
 by a hard atom limit (default 16, a 65536-bit table); :mod:`iolog.worlds`
 uses the worlds of a model, and its countermodel search is guarded by the
 search budget defined here; an engine call over few atoms shares one set of
-tables among its entailments.  All functions are pure and thread-safe.
+tables among its entailments.  Whatever the limit or budget, no table spans
+more than ``_TABLE_CEILING`` atoms.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
 DEFAULT_ATOM_LIMIT = 16
 DEFAULT_SEARCH_BUDGET = 24
 _DEFAULT_MAX_WORLDS = 4  # the lifted engines' default world bound, read by the CLI without worlds
+_TABLE_CEILING = 25  # most atoms any truth table spans, whatever the bounds: 4 MiB a mask
 
 Valuation = Mapping[str, bool]
 
@@ -50,10 +52,11 @@ class UnboundAtomError(LookupError):
 
 
 class AtomLimitError(ValueError):
-    """A query involved more atoms than the configured limit allows."""
+    """A query involved more atoms than the configured limit, or the table ceiling, allows."""
 
     def __init__(self, count: int, limit: int):
-        super().__init__(f"query involves {count} atoms, exceeding the atom limit of {limit}")
+        bound = "table ceiling" if limit == _TABLE_CEILING else "atom limit"
+        super().__init__(f"query involves {count} atoms, exceeding the {bound} of {limit}")
         self.count = count
         self.limit = limit
 
@@ -61,13 +64,15 @@ class AtomLimitError(ValueError):
 class SearchBudgetError(RuntimeError):
     """The countermodel search would exceed its enumeration budget."""
 
-    def __init__(self, world_count: int, atom_count: int, budget: int):
+    _RAISE_IT = "raise the budget to search anyway"
+
+    def __init__(self, world_count: int, atom_count: int, budget: int, remedy: str = _RAISE_IT):
         self.world_count = world_count
         self.atom_count = atom_count
         self.budget = budget
-        super().__init__(self.message())
+        super().__init__(self.message(remedy))
 
-    def message(self, remedy: str = "raise the budget to search anyway") -> str:
+    def message(self, remedy: str = _RAISE_IT) -> str:
         """The error line, naming ``remedy`` as the way past the budget."""
         return (
             f"countermodel search budget exceeded: {self.world_count} worlds x "
@@ -117,21 +122,22 @@ def _valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
 
 
 class _Tables:
-    """Truth tables over every valuation of the atom ``names``, for the entailments of
-    one call: ``output._trigger`` passes the names of an engine's input, any goal and
-    every norm (``norms._norm_names``).  Each formula's mask is computed once,
-    memoised by identity, so ask only about formulas that outlive the tables.  Unless
-    ``whole``, more names than ``_JOINT_ATOMS`` or the limit get no tables, and each
-    entailment is decided over its own atoms.  Either way an entailment raises
-    AtomLimitError only when its own atoms exceed the limit."""
+    """Truth tables over every valuation of the atom ``names``: every table is built here.
+    ``output._trigger`` passes the names of an engine's input, any goal and every norm
+    (``norms._norm_names``); one entailment, the naive unfolding and the countermodel
+    search pass ``whole``.  Each formula's mask is computed once, memoised by identity,
+    so ask only about formulas that outlive the tables.  Unless ``whole``, more names
+    than ``_JOINT_ATOMS`` or the limit get no tables, and each entailment is decided
+    over its own atoms.  Either way an entailment raises AtomLimitError only when its
+    own atoms exceed the limit, or ``_TABLE_CEILING``, which no limit raises."""
 
     def __init__(self, names: Iterable[str], atom_limit: int, whole: bool = False):
         self.atom_limit = _guard(atom_limit, "atom_limit")
         self.names = sorted(names)
         self.shared = whole or len(self.names) <= min(atom_limit, _JOINT_ATOMS)
         if self.shared:
-            if len(self.names) > atom_limit:
-                raise AtomLimitError(len(self.names), atom_limit)
+            if len(self.names) > (limit := min(atom_limit, _TABLE_CEILING)):  # before any table
+                raise AtomLimitError(len(self.names), limit)
             self.env, self.full = _valuation_masks(self.names)
             self._memo: dict[int, int] = {}
 
@@ -191,9 +197,7 @@ def entails(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> bool:
     """Classical entailment: every valuation satisfying the premises satisfies the conclusion."""
-    premises = tuple(premises)
-    tables = _Tables(_atom_names((*premises, conclusion)), atom_limit, whole=True)
-    return tables.entails(premises, conclusion)
+    return counterexample_valuation(premises, conclusion, atom_limit=atom_limit) is None
 
 
 def is_tautology(f: Formula, *, atom_limit: int = DEFAULT_ATOM_LIMIT) -> bool:

@@ -24,7 +24,7 @@ from typing import Callable, Literal, Mapping
 
 # The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
-from .entail import _DEFAULT_MAX_WORLDS, _guard, _Tables, _truth_mask, _valuation_masks
+from .entail import _DEFAULT_MAX_WORLDS, _TABLE_CEILING, _guard, _Tables, _truth_mask
 from .formula import Formula, _Value
 from .norms import NormSet
 from .output import Verdict, _holds, _masks, _one_world_failures, _query_names, _witnesses
@@ -141,7 +141,9 @@ def find_countermodel(
     of world w), atoms in lexicographic order: the first model a binary
     counter over the extensions would meet, the last atom cycling fastest.
     Sizes where world_count x atom_count would exceed the budget raise
-    :class:`SearchBudgetError` instead of silently reporting absence.
+    :class:`SearchBudgetError` instead of silently reporting absence.  Whatever
+    the budget, more atoms than the table ceiling raise AtomLimitError, and past
+    one world more than half of it raise SearchBudgetError.
 
     A lifted verdict depends only on the set of valuations the worlds carry,
     so a model repeating one has the verdict of a smaller model, which comes
@@ -154,11 +156,12 @@ def find_countermodel(
     """
     _guard(max_worlds, "max_worlds", 1)
     _guard(budget, "budget")
-    names = sorted(_query_names(query.norms, query.input, query.goal))
+    names = _query_names(query.norms, query.input, query.goal)
     if len(names) > budget:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
-    env, full = _valuation_masks(names)
-    masks = _masks(*query._values, lambda f: _truth_mask(f, env, full), full)  # its four fields
+    tables = _Tables(names, budget, whole=True)
+    env, full = tables.env, tables.full
+    masks = _masks(*query._values, tables.truth, full)  # its four fields
 
     def arrangement(chosen: tuple[int, ...]) -> tuple[int, ...]:  # by atom name, its world mask
         return tuple(sum(1 << w for w, bit in enumerate(chosen) if c & bit) for c in env.values())
@@ -170,13 +173,16 @@ def find_countermodel(
         world_count += 1
         if world_count * len(names) > budget:
             raise SearchBudgetError(world_count, len(names), budget)
+        if 2 * len(names) > _TABLE_CEILING:  # the one-bit masks below take 2^(2n) bits
+            ceiling = "the table ceiling, which no budget raises"
+            raise SearchBudgetError(world_count, len(names), _TABLE_CEILING, ceiling)
         family = family or tuple(dict.fromkeys(_witnesses(query.mode, masks)))  # past the guard
         sets = itertools.combinations([1 << v for v in range(points - 1, -1, -1)], world_count)
         falsifying = (c for c in sets if not _holds(family, sum(c)))
         least = min(falsifying, key=arrangement, default=None)
     if least is None:
         return None
-    extension = {name: {w for w, bit in enumerate(least) if env[name] & bit} for name in names}
+    extension = {name: {w for w, bit in enumerate(least) if m & bit} for name, m in env.items()}
     return WorldModel(len(least), extension)
 
 

@@ -240,20 +240,37 @@ class TestAtomLimit:
 
     @pytest.mark.parametrize("command", ["check", "naive"])
     def test_tables_beyond_memory_exit_two(self, tmp_path, command):
-        """A limit far above the default lets a 37-atom query ask for 2^36-bit tables."""
-        argv = [command, "--input", "p0", "--goal", "e", "--atom-limit", "64"]
-        done = run_in_128_mib(tmp_path, 36, argv)
+        """A raised limit lets a query ask for tables at the ceiling, 2^25 bits each, which
+        128 MiB cannot hold: the unfolding's over all 25 atoms, or check's entailment of
+        the norm's 25-atom body from the input."""
+        body_atoms = {"check": 25, "naive": 24}[command]
+        argv = [command, "--input", "p0", "--goal", "e", "--atom-limit", str(body_atoms + 1)]
+        done = run_in_128_mib(tmp_path, body_atoms, argv)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
         assert "--atom-limit" in done.stderr
 
     def test_search_beyond_memory_names_the_budget(self, tmp_path):
-        """A raised budget lets a 28-atom search ask for 2^28-bit tables at one world; the
+        """A raised budget lets a 25-atom search ask for 2^25-bit tables at one world; the
         search ignores --atom-limit, so the line names --budget."""
-        argv = ["countermodel", "--input", "p0", "--goal", "e", "--budget", "28", "--max-worlds", "1"]
-        done = run_in_128_mib(tmp_path, 27, argv)
+        argv = ["countermodel", "--input", "p0", "--goal", "e", "--budget", "25", "--max-worlds", "1"]
+        done = run_in_128_mib(tmp_path, 24, argv)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: out of memory (a lower --budget bounds the search)\n"
+
+    @pytest.mark.parametrize("argv, body_atoms, refused", [
+        pytest.param(["check", "--atom-limit", "64"], 36, 36, id="check"),  # triggering
+        pytest.param(["naive", "--atom-limit", "64"], 36, 37, id="naive"),  # every atom
+        pytest.param(["countermodel", "--budget", "28"], 27, 28, id="countermodel"),
+    ])
+    def test_tables_past_the_ceiling_are_refused(self, tmp_path, argv, body_atoms, refused):
+        """Past the table ceiling no bound admits a table: the query is refused before one
+        is built, within the memory that a table at the ceiling would overrun."""
+        argv = [argv[0], "--input", "p0", "--goal", "e", *argv[1:]]
+        done = run_in_128_mib(tmp_path, body_atoms, argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: query involves {refused} atoms, exceeding the table ceiling of 25\n")
 
 
 def run_in_128_mib(tmp_path, atoms: int, argv: list[str]) -> subprocess.CompletedProcess:
