@@ -21,17 +21,13 @@ from typing import Sequence
 # where a subcommand or engine needs them, so a run loads no layer it does not use.
 from .entail import (
     _DEFAULT_MAX_WORLDS, _TABLE_CEILING, DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET,
-    AtomLimitError, SearchBudgetError, UnboundAtomError,
+    SearchBudgetError,
 )
-from .formula import Formula, FormulaSyntaxError, parse_formula, print_formula
-from .norms import NormSet, NormSyntaxError, load_norms, render_norm
+from .formula import Formula, _Error, parse_formula, print_formula
+from .norms import NormSet, load_norms, render_norm
 from .output import _semantic_holds, out1_member, out1_triple_approx, source_ordered_heads
 
 __all__ = ["main"]
-
-
-class CliError(Exception):
-    """A library error reworded to name the command line's remedy."""
 
 
 def _bound(text: str) -> int:
@@ -87,7 +83,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
         fits = exc.budget // exc.atom_count
         hint = f"--max-worlds {fits} keeps within it" if fits else "countermodel --budget raises it"
-        raise CliError(exc.message(hint)) from None
+        raise SearchBudgetError(exc.world_count, exc.atom_count, exc.budget, hint) from None
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),
@@ -252,16 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print("\n".join(args.text(report)))
         return code
-    except (
-        CliError,
-        FormulaSyntaxError,
-        NormSyntaxError,
-        AtomLimitError,
-        UnboundAtomError,
-        SearchBudgetError,
-        OSError,
-        UnicodeDecodeError,
-    ) as exc:
+    except (_Error, OSError, UnicodeDecodeError) as exc:  # every iolog error, by its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

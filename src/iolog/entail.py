@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _as_node, _atom_names
+from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _as_node, _atom_names, _Error
 
 __all__ = [
     "DEFAULT_ATOM_LIMIT",
@@ -43,41 +43,37 @@ def _guard(value: int, name: str, least: int = 0) -> int:
     return value
 
 
-class UnboundAtomError(LookupError):
-    """An atom was evaluated against a valuation or model that does not map it."""
+class UnboundAtomError(_Error, LookupError):
+    """An ``atom`` was evaluated against a valuation or model that does not map it."""
 
-    def __init__(self, atom: str):
-        super().__init__(f"atom {atom!r} is not mapped")
-        self.atom = atom
-
-
-class AtomLimitError(ValueError):
-    """A query involved more atoms than the configured limit, or the table ceiling, allows."""
-
-    def __init__(self, count: int, limit: int):
-        bound = "table ceiling" if limit == _TABLE_CEILING else "atom limit"
-        super().__init__(f"query involves {count} atoms, exceeding the {bound} of {limit}")
-        self.count = count
-        self.limit = limit
+    _fields = ("atom",)
+    _template = "atom {atom!r} is not mapped"
 
 
-class SearchBudgetError(RuntimeError):
-    """The countermodel search would exceed its enumeration budget."""
+class AtomLimitError(_Error, ValueError):
+    """A query involved ``count`` atoms, more than its ``limit`` or the table ceiling allows."""
 
-    _RAISE_IT = "raise the budget to search anyway"
+    _fields = ("count", "limit")
 
-    def __init__(self, world_count: int, atom_count: int, budget: int, remedy: str = _RAISE_IT):
-        self.world_count = world_count
-        self.atom_count = atom_count
-        self.budget = budget
-        super().__init__(self.message(remedy))
+    def __str__(self) -> str:
+        bound = "table ceiling" if self.limit == _TABLE_CEILING else "atom limit"
+        return f"query involves {self.count} atoms, exceeding the {bound} of {self.limit}"
 
-    def message(self, remedy: str = _RAISE_IT) -> str:
-        """The error line, naming ``remedy`` as the way past the budget."""
-        return (
-            f"countermodel search budget exceeded: {self.world_count} worlds x "
-            f"{self.atom_count} atoms > {self.budget} ({remedy})"
-        )
+
+class SearchBudgetError(_Error, RuntimeError):
+    """The countermodel search would exceed its enumeration ``budget``.  The message names
+    the ``remedy`` given, or else to raise the budget, unless the bound is the table
+    ceiling: past one world the search refuses 2 x atoms over it before any budget does."""
+
+    _fields = ("world_count", "atom_count", "budget", "remedy")
+    remedy = None
+
+    def __str__(self) -> str:
+        ceiling = self.budget == _TABLE_CEILING < 2 * self.atom_count
+        remedy = self.remedy or ("the table ceiling, which no budget raises" if ceiling
+                                 else "raise the budget to search anyway")
+        return (f"countermodel search budget exceeded: {self.world_count} worlds x "
+                f"{self.atom_count} atoms > {self.budget} ({remedy})")
 
 
 def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:

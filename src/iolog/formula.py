@@ -43,13 +43,29 @@ _BLANKS = re.compile(r"(?:[ \t\r\n]|#[^\n]*)+")  # blanks, and comments to the e
 MAX_DEPTH = 100  # so that parsed formulas evaluate, print, compare and hash without overflow
 
 
-class FormulaSyntaxError(ValueError):
-    """Malformed formula text, with a 1-based character position."""
+class _Error(Exception):
+    """Base of iolog's errors, as ``_Value`` is of its values.  A class names its fields
+    in ``_fields`` and its message in ``_template``, a format string over them, or writes
+    its own ``__str__``; it keeps a built-in base, such as ``ValueError``, as its second.
+    The fields, given in order, are the exception's ``args`` and also its attributes, so
+    an error pickles by them and reprs as ``AtomLimitError(26, 25)``."""
 
-    def __init__(self, position: int, message: str):
-        super().__init__(f"syntax error at position {position}: {message}")
-        self.position = position
-        self.reason = message
+    _fields: tuple[str, ...] = ()
+    _template = ""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.__dict__.update(zip(self._fields, args))
+
+    def __str__(self) -> str:
+        return self._template.format_map(vars(self))
+
+
+class FormulaSyntaxError(_Error, ValueError):
+    """Malformed formula text: the ``reason``, at a 1-based character ``position``."""
+
+    _fields = ("position", "reason")
+    _template = "syntax error at position {position}: {reason}"
 
 
 class _Value:

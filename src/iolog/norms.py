@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .formula import Formula, FormulaSyntaxError, _atom_names, _Value, parse_formula, print_formula
+from .formula import Formula, FormulaSyntaxError, _atom_names, _Error, _Value, parse_formula, print_formula
 
 __all__ = [
     "Norm",
@@ -23,13 +23,11 @@ __all__ = [
 ]
 
 
-class NormSyntaxError(ValueError):
-    """Malformed norm text, with the offending 1-based line number."""
+class NormSyntaxError(_Error, ValueError):
+    """Malformed norm text: the ``reason``, on the offending 1-based ``line``."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.reason = message
+    _fields = ("line", "reason")
+    _template = "line {line}: {reason}"
 
 
 class Norm(_Value):

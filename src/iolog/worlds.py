@@ -142,8 +142,9 @@ def find_countermodel(
     counter over the extensions would meet, the last atom cycling fastest.
     Sizes where world_count x atom_count would exceed the budget raise
     :class:`SearchBudgetError` instead of silently reporting absence.  Whatever
-    the budget, more atoms than the table ceiling raise AtomLimitError, and past
-    one world more than half of it raise SearchBudgetError.
+    the budget, and before it, more atoms than the table ceiling raise
+    AtomLimitError, and past one world more than half of it raise
+    SearchBudgetError with the ceiling as its bound.
 
     A lifted verdict depends only on the set of valuations the worlds carry,
     so a model repeating one has the verdict of a smaller model, which comes
@@ -157,9 +158,9 @@ def find_countermodel(
     _guard(max_worlds, "max_worlds", 1)
     _guard(budget, "budget")
     names = _query_names(query.norms, query.input, query.goal)
-    if len(names) > budget:  # the one-world guard, before any table is built
+    if budget < len(names) <= _TABLE_CEILING:  # the one-world guard, before any table is built
         raise SearchBudgetError(1, len(names), budget)
-    tables = _Tables(names, budget, whole=True)
+    tables = _Tables(names, _TABLE_CEILING, whole=True)  # past the ceiling, AtomLimitError
     env, full = tables.env, tables.full
     masks = _masks(*query._values, tables.truth, full)  # its four fields
 
@@ -169,13 +170,12 @@ def find_countermodel(
     fails = _one_world_failures(query.mode, masks)
     least = (fails & -fails,) if fails else None  # the lowest valuation's one-bit mask
     world_count, points, family = 1, full.bit_length(), ()
+    # Past one world the one-bit masks take 2^(2n) bits: where 2n exceeds it, the ceiling bounds.
+    bound = budget if 2 * len(names) <= _TABLE_CEILING else _TABLE_CEILING
     while least is None and world_count < min(max_worlds, points):
         world_count += 1
-        if world_count * len(names) > budget:
-            raise SearchBudgetError(world_count, len(names), budget)
-        if 2 * len(names) > _TABLE_CEILING:  # the one-bit masks below take 2^(2n) bits
-            ceiling = "the table ceiling, which no budget raises"
-            raise SearchBudgetError(world_count, len(names), _TABLE_CEILING, ceiling)
+        if world_count * len(names) > bound:
+            raise SearchBudgetError(world_count, len(names), bound)
         family = family or tuple(dict.fromkeys(_witnesses(query.mode, masks)))  # past the guard
         sets = itertools.combinations([1 << v for v in range(points - 1, -1, -1)], world_count)
         falsifying = (c for c in sets if not _holds(family, sum(c)))

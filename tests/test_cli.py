@@ -378,14 +378,19 @@ class TestCountermodel:
         assert "no countermodel up to 4 worlds" in capsys.readouterr().out
 
     def test_budget_exhaustion_exits_two(self, tmp_path, capsys):
-        body = " & ".join(f"x{i}" for i in range(25))
-        path = tmp_path / "wide.txt"
-        path.write_text(f"({body}, e)\n", encoding="utf-8")
-        rc = main(
-            ["countermodel", "--norms", str(path), "--input", "true", "--goal", "true"]
-        )
-        assert rc == 2
-        assert "budget" in capsys.readouterr().err
+        """25 atoms overrun the default budget, which --budget 25 raises; 26 overrun the
+        table ceiling, which no budget raises, so that line names the ceiling."""
+        for atoms, budget, line in [
+            (25, [], "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
+                     "(raise the budget to search anyway)"),
+            (26, ["--budget", "25"], "query involves 26 atoms, exceeding the table ceiling of 25"),
+        ]:
+            body = " & ".join(f"x{i}" for i in range(atoms - 1))
+            path = tmp_path / "wide.txt"
+            path.write_text(f"({body}, e)\n", encoding="utf-8")
+            argv = ["countermodel", "--norms", str(path), "--input", "true", "--goal", "true"]
+            assert main([*argv, *budget]) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_budget_error_names_each_commands_remedy(self, tmp_path, capsys):
         """``countermodel`` has --budget; ``check`` has not, so it names the --max-worlds
@@ -401,16 +406,37 @@ class TestCountermodel:
         assert main(["check", *query, "--engine", "lifted", "--max-worlds", "3"]) == 0
 
     def test_check_names_countermodel_when_one_world_exceeds_the_budget(self, tmp_path, capsys):
-        body = " & ".join(f"x{i}" for i in range(25))
-        path = tmp_path / "wide.txt"
-        path.write_text(f"({body}, e)\n", encoding="utf-8")
-        argv = ["check", "--norms", str(path), "--input", body, "--goal", "e",
-                "--engine", "lifted", "--atom-limit", "32"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: countermodel search budget exceeded: 1 worlds x 26 atoms > 24 "
-            "(countermodel --budget raises it)\n"
-        )
+        """At 25 atoms ``countermodel --budget 25`` searches one world; past the table
+        ceiling no budget would, so the line names the ceiling instead."""
+        for atoms, line in [
+            (25, "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
+                 "(countermodel --budget raises it)"),
+            (26, "query involves 26 atoms, exceeding the table ceiling of 25"),
+        ]:
+            body = " & ".join(f"x{i}" for i in range(atoms - 1))
+            path = tmp_path / "wide.txt"
+            path.write_text(f"({body}, e)\n", encoding="utf-8")
+            argv = ["check", "--norms", str(path), "--input", body, "--goal", "e",
+                    "--engine", "lifted", "--atom-limit", "32"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_past_one_world_the_ceiling_refuses_before_the_budget(self, tmp_path, capsys):
+        """13 atoms hold at one world; at two, 2 x 13 exceeds both the default budget and
+        the table ceiling, and the line names the ceiling, which no budget raises."""
+        path = tmp_path / "ae.txt"
+        path.write_text("(a, e)\n", encoding="utf-8")
+        input = " & ".join(["a", *(f"x{i}" for i in range(11))])
+        query = ["--norms", str(path), "--input", input, "--goal", "e", "--max-worlds", "2"]
+        exceeded = "error: countermodel search budget exceeded: 2 worlds x 13 atoms > 25"
+        assert main(["countermodel", *query]) == 2
+        assert capsys.readouterr() == (
+            "", f"{exceeded} (the table ceiling, which no budget raises)\n")
+        assert main(["countermodel", *query, "--budget", "100"]) == 2
+        assert capsys.readouterr().err == f"{exceeded} (the table ceiling, which no budget raises)\n"
+        assert main(["check", *query, "--engine", "lifted"]) == 2
+        assert capsys.readouterr().err == f"{exceeded} (--max-worlds 1 keeps within it)\n"
+        assert main(["check", *query, "--engine", "lifted", "--max-worlds", "1"]) == 0
 
     def test_budget_below_one_is_a_config_error(self, norms_file, capsys):
         for budget in ("0", "-5"):

@@ -224,13 +224,18 @@ class TestFindCountermodel:
 
     def test_default_budget_rejects_atom_heavy_queries_up_front(self):
         # 25 atoms overflow the default worlds x atoms guard at the very
-        # first size, before anything is enumerated.
-        body = " & ".join(f"x{i}" for i in range(25))
-        wide = parse_norms(f"({body}, e)")
-        query = LiftedQuery(wide, parse_formula("true"), parse_formula("true"), "out1")
+        # first size, before anything is enumerated; 26 overflow the table
+        # ceiling, which is checked first, since no budget raises it.
+        def query(atoms: int) -> LiftedQuery:
+            wide = parse_norms("(" + " & ".join(f"x{i}" for i in range(atoms - 1)) + ", e)")
+            return LiftedQuery(wide, parse_formula("true"), parse_formula("true"), "out1")
+
         with pytest.raises(SearchBudgetError) as err:
-            find_countermodel(query, 4)
-        assert err.value.budget == 24
+            find_countermodel(query(25), 4)
+        assert (err.value.world_count, err.value.atom_count, err.value.budget) == (1, 25, 24)
+        with pytest.raises(AtomLimitError) as refused:
+            find_countermodel(query(26), 4)
+        assert (refused.value.count, refused.value.limit) == (26, 25)
 
     def test_budget_exceeded_is_an_error_not_absence(self):
         query = LiftedQuery(TWO_NORMS, A, E, "outpre")
