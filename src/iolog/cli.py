@@ -75,6 +75,11 @@ def _engine(name: str, max_worlds: int):
     return {"semantic": out1_member, "triple": out1_triple_approx}[name], None, None
 
 
+def _one_world(exc: SearchBudgetError) -> str:
+    """The flags that search ``exc``'s atoms at one world, past which they pass the ceiling."""
+    return f"--budget {exc.atom_count} --max-worlds 1 searches one world"
+
+
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     norms, input, goal = _query(args)
     decide, key, write = _engine(args.engine, args.max_worlds)
@@ -82,7 +87,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
         verdict = decide(norms, input, goal, atom_limit=args.atom_limit)
     except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
         fits = exc.budget // exc.atom_count
-        hint = f"--max-worlds {fits} keeps within it" if fits else "countermodel --budget raises it"
+        hint = f"--max-worlds {fits} keeps within it" if fits else f"countermodel {_one_world(exc)}"
         raise SearchBudgetError(exc.world_count, exc.atom_count, exc.budget, hint) from None
 
     report = {
@@ -119,7 +124,12 @@ def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     from .worlds import LiftedQuery, find_countermodel, world_model_to_dict
     norms, input, goal = _query(args)
     query = LiftedQuery(norms, input, goal, args.mode)
-    model = find_countermodel(query, args.max_worlds, budget=args.budget)
+    try:
+        model = find_countermodel(query, args.max_worlds, budget=args.budget)
+    except SearchBudgetError as exc:  # at one world where two pass the ceiling, name both flags
+        if exc.world_count > 1 or 2 * exc.atom_count <= _TABLE_CEILING:
+            raise
+        raise SearchBudgetError(1, exc.atom_count, exc.budget, _one_world(exc)) from None
 
     report = {
         "query": _query_doc(norms, input, goal, args.mode),

@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable
 
-from .entail import DEFAULT_ATOM_LIMIT, _guard, entails
-from .formula import TOP, And, Formula, _Value, parse_formula, print_formula
+from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables
+from .formula import TOP, And, Formula, _atom_names, _Value, parse_formula, print_formula
 from .norms import Norm, NormSet, render_norm
 from .output import Verdict, _trigger
 
@@ -161,12 +161,18 @@ def verify_derivation(
 
     Nodes are visited pre-order (a node before its premises, left before
     right) and the first violation is reported; the conclusion/goal match
-    is checked last.
+    is checked last.  One set of truth tables, over the atoms of every leaf's
+    norm, WI input and SO output, decides every side condition; where those
+    atoms are too many to share, each is decided over its own.
     """
-    _guard(atom_limit, "atom_limit")  # also where no side condition asks for an entailment
+    _guard(atom_limit, "atom_limit")  # before the walk: a bad limit is named before a bad tree
     order, concluded = _walk(d)
-    for position, (node, _, _, _) in enumerate(order):
-        reason = _violation(norms, node, concluded, atom_limit)
+    # Masks are memoised by identity: the tree and ``concluded`` hold each formula asked about.
+    params = [getattr(node, param) for node, _, _, (_, _, param, _) in order if param]
+    read = [f for p in params for f in ((p.body, p.head) if isinstance(p, Norm) else (p,))]
+    tables = _Tables(_atom_names(read), atom_limit)
+    for position, (node, _, _, (tag, *_)) in enumerate(order):
+        reason = _violation(norms, node, tag, concluded, tables)
         if reason is not None:
             path = []
             while position > 0:
@@ -180,21 +186,21 @@ def verify_derivation(
 
 
 def _violation(
-    norms: NormSet, d: Derivation, concluded: dict[int, Norm], atom_limit: int
+    norms: NormSet, d: Derivation, tag: str, concluded: dict[int, Norm], tables: _Tables
 ) -> str | None:
-    """The side condition ``d`` violates, given its premises' conclusions, or None."""
-    if isinstance(d, AxiomLeaf) and d.norm not in norms.norms:
+    """The side condition ``d`` (of rule ``tag``) violates, given its premises', or None."""
+    if tag == "AX" and d.norm not in norms.norms:
         return f"axiom {render_norm(d.norm)} is not in the norm set"
-    if isinstance(d, (SO, WI)):
+    if tag == "SO" or tag == "WI":
         pair = concluded[id(d.premise)]
-        strong, weak = (pair.head, d.output) if isinstance(d, SO) else (d.input, pair.body)
+        strong, weak = (pair.head, d.output) if tag == "SO" else (d.input, pair.body)
         # The conjuncts as premises: the same test, and no recursion per conjoined norm.
-        if not entails(_conjuncts(strong), weak, atom_limit=atom_limit):
+        if not tables.entails(_conjuncts(strong), weak):
             return (
-                f"{_rule(d)[0]} side condition fails: {print_formula(strong)} does not entail "
+                f"{tag} side condition fails: {print_formula(strong)} does not entail "
                 f"{print_formula(weak)}"
             )
-    if isinstance(d, AND):
+    if tag == "AND":
         lbody, rbody = concluded[id(d.left)].body, concluded[id(d.right)].body
         if lbody != rbody:
             return (

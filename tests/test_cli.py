@@ -378,11 +378,12 @@ class TestCountermodel:
         assert "no countermodel up to 4 worlds" in capsys.readouterr().out
 
     def test_budget_exhaustion_exits_two(self, tmp_path, capsys):
-        """25 atoms overrun the default budget, which --budget 25 raises; 26 overrun the
-        table ceiling, which no budget raises, so that line names the ceiling."""
+        """25 atoms overrun the default budget, which --budget 25 raises at one world, and
+        two worlds would pass the table ceiling, so that line names both flags; 26 overrun
+        the ceiling, which no budget raises, so that line names the ceiling."""
         for atoms, budget, line in [
             (25, [], "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
-                     "(raise the budget to search anyway)"),
+                     "(--budget 25 --max-worlds 1 searches one world)"),
             (26, ["--budget", "25"], "query involves 26 atoms, exceeding the table ceiling of 25"),
         ]:
             body = " & ".join(f"x{i}" for i in range(atoms - 1))
@@ -406,11 +407,11 @@ class TestCountermodel:
         assert main(["check", *query, "--engine", "lifted", "--max-worlds", "3"]) == 0
 
     def test_check_names_countermodel_when_one_world_exceeds_the_budget(self, tmp_path, capsys):
-        """At 25 atoms ``countermodel --budget 25`` searches one world; past the table
-        ceiling no budget would, so the line names the ceiling instead."""
+        """At 25 atoms ``countermodel --budget 25 --max-worlds 1`` searches one world; past
+        the table ceiling no budget would, so the line names the ceiling instead."""
         for atoms, line in [
             (25, "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
-                 "(countermodel --budget raises it)"),
+                 "(countermodel --budget 25 --max-worlds 1 searches one world)"),
             (26, "query involves 26 atoms, exceeding the table ceiling of 25"),
         ]:
             body = " & ".join(f"x{i}" for i in range(atoms - 1))
@@ -437,6 +438,24 @@ class TestCountermodel:
         assert main(["check", *query, "--engine", "lifted"]) == 2
         assert capsys.readouterr().err == f"{exceeded} (--max-worlds 1 keeps within it)\n"
         assert main(["check", *query, "--engine", "lifted", "--max-worlds", "1"]) == 0
+
+    def test_a_one_world_refusal_past_half_the_ceiling_names_both_flags(self, tmp_path, capsys):
+        """13 atoms over a budget of 12: raising the budget alone gets past one world and
+        stops at the ceiling at two, so the line names one world as well, and that command
+        searches; at 12 atoms two worlds fit in the ceiling, so the budget alone is named."""
+        for atoms, remedy in [(12, "raise the budget to search anyway"),
+                              (13, "--budget 13 --max-worlds 1 searches one world")]:
+            body = " & ".join(f"p{i}" for i in range(atoms - 1))
+            path = tmp_path / "wide.txt"
+            path.write_text(f"({body}, e)\n", encoding="utf-8")
+            argv = ["countermodel", "--norms", str(path), "--input", "true", "--goal", "true"]
+            assert main([*argv, "--budget", str(atoms - 1)]) == 2
+            exceeded = f"countermodel search budget exceeded: 1 worlds x {atoms} atoms"
+            assert capsys.readouterr().err == f"error: {exceeded} > {atoms - 1} ({remedy})\n"
+        assert main([*argv, "--budget", "13", "--max-worlds", "2"]) == 2
+        assert "2 worlds x 13 atoms > 25" in capsys.readouterr().err
+        assert main([*argv, "--budget", "13", "--max-worlds", "1"]) == 1
+        assert "no countermodel up to 1 worlds" in capsys.readouterr().out
 
     def test_budget_below_one_is_a_config_error(self, norms_file, capsys):
         for budget in ("0", "-5"):

@@ -17,11 +17,13 @@ from pointwise import (
 )
 from iolog import (
     AND,
+    DEFAULT_ATOM_LIMIT,
     SO,
     TOP,
     WI,
     And,
     Atom,
+    AtomLimitError,
     AxiomLeaf,
     Norm,
     NormSet,
@@ -39,6 +41,8 @@ from iolog import (
     render_derivation,
     verify_derivation,
 )
+from iolog import derivation, entail
+from iolog.entail import _Tables
 
 A, B, C, E = Atom("a"), Atom("b"), Atom("c"), Atom("e")
 TWO_NORMS = parse_norms("(a, e)\n(b, e)")
@@ -453,6 +457,14 @@ def tamper(d, rng, f):
     )
 
 
+def outcome(check, *args, **kwargs):
+    """What ``check`` returns, or the fields of the ``AtomLimitError`` it raises."""
+    try:
+        return check(*args, **kwargs)
+    except AtomLimitError as exc:
+        return AtomLimitError, exc.count, exc.limit
+
+
 @st.composite
 def tampered_certificates(draw):
     """A canonical certificate with one node changed, and the goal it was built for."""
@@ -472,7 +484,13 @@ class TestAgainstRecursiveReference:
     @staticmethod
     def check(norms, d, goal):
         assert conclusion(d) == recursive_conclusion(d)
-        assert verify_derivation(norms, d, goal) == recursive_verify_derivation(norms, d, goal)
+        # Below the tree's atom count no table is shared, and each side condition is decided
+        # over its own atoms, raising where they exceed the limit.  Each limit is checked
+        # twice: the second call reads the atom names the first left in the ``_atoms`` slots.
+        for limit in (0, 1, 2, 3, 4, DEFAULT_ATOM_LIMIT):
+            expected = outcome(recursive_verify_derivation, norms, d, goal, limit)
+            for _ in range(2):
+                assert outcome(verify_derivation, norms, d, goal, atom_limit=limit) == expected
         assert derivation_to_dict(d) == recursive_derivation_to_dict(d)
         assert render_derivation(d) == recursive_render_derivation(d)
 
@@ -523,6 +541,58 @@ class TestAgainstRecursiveReference:
         assert [r["rule"] for r in record["nodes"]] == ["AX", "WI", "AX", "WI", "AND"]
         assert record == recursive_derivation_to_dict(d)
         assert derivation_from_dict(record) == d
+
+
+class TestOneSetOfTables:
+    """``verify_derivation`` builds one set of truth tables per call and decides every side
+    condition on it; where the tree's atoms fit, it never asks the public ``entails``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Recorded(_Tables):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.names, self.shared))
+
+        monkeypatch.setattr(derivation, "_Tables", Recorded)
+        return built
+
+    @staticmethod
+    def verify_twice_and_a_wrong_weakening():
+        norms = parse_norms("(a, e)\n(b, f)\n(c, g)")
+        input, goal = parse_formula("a & b"), parse_formula("e & f")
+        certificate = derive_verdict(norms, input, goal).certificate
+        for _ in range(2):
+            assert verify_derivation(norms, certificate, Norm(input, goal)) is None
+        wrong = SO(certificate.premise, parse_formula("e & g"))
+        failure = verify_derivation(norms, wrong, Norm(input, parse_formula("e & g")))
+        assert failure.reason == "SO side condition fails: e & f does not entail e & g"
+
+    def test_each_call_builds_one_shared_set(self, built):
+        self.verify_twice_and_a_wrong_weakening()
+        assert built == [(list("abef"), True)] * 2 + [(list("abefg"), True)]
+
+    def test_a_tree_whose_atoms_fit_never_asks_the_public_entails(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an entailment was decided over its own atoms")
+
+        monkeypatch.setattr(entail, "counterexample_valuation", refuse)
+        self.verify_twice_and_a_wrong_weakening()
+
+    def test_past_the_limit_one_set_decides_each_entailment_over_its_own(self, built):
+        """Four atoms in the tree, a limit of 2: the set shares no table, and each side
+        condition, over two atoms, is decided as the public ``entails`` would; at a limit
+        of 1 the first of them in pre-order, the root's SO, is refused."""
+        norms = parse_norms("(a, e)\n(b, f)")
+        input, goal = parse_formula("a & b"), parse_formula("e & f")
+        certificate = derive_verdict(norms, input, goal).certificate
+        assert verify_derivation(norms, certificate, Norm(input, goal), atom_limit=2) is None
+        with pytest.raises(AtomLimitError) as err:
+            verify_derivation(norms, certificate, Norm(input, goal), atom_limit=1)
+        assert (err.value.count, err.value.limit) == (2, 1)
+        assert built == [(list("abef"), False)] * 2
 
 
 class TestDeepCertificates:
