@@ -63,15 +63,18 @@ class AtomLimitError(_Error, ValueError):
 class SearchBudgetError(_Error, RuntimeError):
     """The countermodel search would exceed its enumeration ``budget``.  The message names
     the ``remedy`` given, or else to raise the budget, unless the bound is the table
-    ceiling: past one world the search refuses 2 x atoms over it before any budget does."""
+    ceiling: past one world the search refuses 2 x atoms over it before any budget does.
+    So at one world over half the ceiling it names raising the budget with one world."""
 
     _fields = ("world_count", "atom_count", "budget", "remedy")
     remedy = None
 
     def __str__(self) -> str:
         ceiling = self.budget == _TABLE_CEILING < 2 * self.atom_count
-        remedy = self.remedy or ("the table ceiling, which no budget raises" if ceiling
-                                 else "raise the budget to search anyway")
+        one_world = self.world_count == 1 and 2 * self.atom_count > _TABLE_CEILING
+        remedy = self.remedy or ("the table ceiling, which no budget raises" if ceiling else
+                                 f"budget={self.atom_count} with max_worlds=1 searches one world"
+                                 if one_world else "raise the budget to search anyway")
         return (f"countermodel search budget exceeded: {self.world_count} worlds x "
                 f"{self.atom_count} atoms > {self.budget} ({remedy})")
 

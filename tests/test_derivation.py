@@ -1,6 +1,7 @@
 """Proof trees: structural conclusions, the checker, and the canonical builder."""
 
 import functools
+import itertools
 import json
 import random
 
@@ -477,6 +478,49 @@ def tampered_certificates(draw):
     return norms, d, Norm(input, goal)
 
 
+def tampered_at(d, changes, positions=None):
+    """``d`` rebuilt with ``changes[p]`` applied to the node at pre-order position ``p``,
+    after its premises are rebuilt; ``positions`` numbers the nodes as they are walked."""
+    positions = positions or itertools.count()
+    position = next(positions)
+    if isinstance(d, AND):
+        d = AND(tampered_at(d.left, changes, positions), tampered_at(d.right, changes, positions))
+    elif isinstance(d, SO):
+        d = SO(tampered_at(d.premise, changes, positions), d.output)
+    elif isinstance(d, WI):
+        d = WI(tampered_at(d.premise, changes, positions), d.input)
+    return changes[position](d) if position in changes else d
+
+
+# Each rule's tampering: one that keeps the node's rule and can break its side condition.
+BREAK = {
+    AxiomLeaf: lambda d, f: AxiomLeaf(Norm(f, f)),
+    WI: lambda d, f: WI(d.premise, f),
+    SO: lambda d, f: SO(d.premise, f),
+    AND: lambda d, f: AND(d.left, WI(d.right, f)),
+}
+
+
+@st.composite
+def twice_tampered_certificates(draw):
+    """A canonical certificate with two nodes of two different rules (AX, WI, SO, AND)
+    tampered, at positions drawn from its pre-order, and the goal it was built for."""
+    norms, input, goal = draw(NORM_SETS), draw(QUERY_FORMULAS), draw(QUERY_FORMULAS)
+    d = construct_derivation(norms, input, goal)
+    if d is None:
+        leaves = [WI(AxiomLeaf(n), input) for n in norms] or [WI(TopIntro(), input)]
+        d = SO(functools.reduce(AND, leaves), goal)
+    nodes = [node for node, *_ in derivation._walk(d)[0]]
+    positions = [p for p, node in enumerate(nodes) if type(node) in BREAK]
+    first = draw(st.sampled_from(positions))
+    others = [p for p in positions if type(nodes[p]) is not type(nodes[first])]
+    assume(others)
+    second = draw(st.sampled_from(others))
+    f, g = draw(SMALL_FORMULAS), draw(SMALL_FORMULAS)
+    changes = {first: lambda n: BREAK[type(n)](n, f), second: lambda n: BREAK[type(n)](n, g)}
+    return norms, tampered_at(d, changes), Norm(input, goal)
+
+
 class TestAgainstRecursiveReference:
     """The one bottom-up pass against the recursive walks it replaced: same conclusion,
     same first failure (path and reason), same rendering."""
@@ -502,6 +546,11 @@ class TestAgainstRecursiveReference:
     @settings(max_examples=300)
     @given(tampered_certificates())
     def test_tampered_certificates(self, case):
+        self.check(*case)
+
+    @settings(max_examples=300)
+    @given(twice_tampered_certificates())
+    def test_two_tampered_nodes_report_the_first_in_pre_order(self, case):
         self.check(*case)
 
     @settings(max_examples=300)
@@ -580,6 +629,33 @@ class TestOneSetOfTables:
 
         monkeypatch.setattr(entail, "counterexample_valuation", refuse)
         self.verify_twice_and_a_wrong_weakening()
+
+    def test_only_so_heads_are_split_and_each_mask_is_computed_once(self, monkeypatch):
+        """Three WI nodes over one conjunctive input: the input is one premise, whose mask
+        is read from the memo after the first; only the root SO's head is split."""
+        split, computed = [], []
+        conjuncts, truth_mask = derivation._conjuncts, entail._truth_mask
+
+        def record_split(f):
+            split.append(f)
+            return conjuncts(f)
+
+        def record_mask(f, *args):
+            computed.append(f)  # held, so no two formulas here share an id
+            return truth_mask(f, *args)
+
+        monkeypatch.setattr(derivation, "_conjuncts", record_split)
+        monkeypatch.setattr(entail, "_truth_mask", record_mask)
+        norms = parse_norms("(a, e)\n(b, f)\n(c, g)")
+        input, goal = parse_formula("a & b & c"), parse_formula("e & f & g")
+        certificate = derive_verdict(norms, input, goal).certificate
+        assert [type(n) for n, *_ in derivation._walk(certificate)[0]].count(WI) == 3
+        split.clear()
+        computed.clear()  # derive_verdict's own tables
+        assert verify_derivation(norms, certificate, Norm(input, goal)) is None
+        assert split == [conclusion(certificate.premise).head]
+        assert any(f is input for f in computed)
+        assert len({id(f) for f in computed}) == len(computed)
 
     def test_past_the_limit_one_set_decides_each_entailment_over_its_own(self, built):
         """Four atoms in the tree, a limit of 2: the set shares no table, and each side

@@ -233,9 +233,29 @@ class TestFindCountermodel:
         with pytest.raises(SearchBudgetError) as err:
             find_countermodel(query(25), 4)
         assert (err.value.world_count, err.value.atom_count, err.value.budget) == (1, 25, 24)
+        assert str(err.value) == ("countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
+                                  "(budget=25 with max_worlds=1 searches one world)")
         with pytest.raises(AtomLimitError) as refused:
             find_countermodel(query(26), 4)
         assert (refused.value.count, refused.value.limit) == (26, 25)
+
+    @pytest.mark.parametrize("atoms, remedy", [
+        (12, "raise the budget to search anyway"),
+        (13, "budget=13 with max_worlds=1 searches one world"),
+    ])
+    def test_a_one_world_refusal_past_half_the_ceiling_names_one_world(self, atoms, remedy):
+        """Over 12 atoms the budget alone gets past one world and the ceiling then refuses
+        two, so the line names one world with the budget, and that call searches."""
+        wide = parse_norms("(" + " & ".join(f"p{i}" for i in range(atoms - 1)) + ", e)")
+        query = LiftedQuery(wide, parse_formula("true"), parse_formula("true"), "out1")
+        with pytest.raises(SearchBudgetError) as err:
+            find_countermodel(query, 4, budget=atoms - 1)
+        exceeded = f"countermodel search budget exceeded: 1 worlds x {atoms} atoms > {atoms - 1}"
+        assert str(err.value) == f"{exceeded} ({remedy})"
+        if atoms == 13:
+            with pytest.raises(SearchBudgetError, match="2 worlds x 13 atoms > 25"):
+                find_countermodel(query, 4, budget=13)
+        assert find_countermodel(query, 1, budget=atoms) is None
 
     def test_budget_exceeded_is_an_error_not_absence(self):
         query = LiftedQuery(TWO_NORMS, A, E, "outpre")
