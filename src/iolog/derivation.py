@@ -14,7 +14,6 @@ weaken to the goal.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable
 
 from .entail import DEFAULT_ATOM_LIMIT, _guard, _Tables
 from .formula import TOP, And, Formula, _atom_names, _Value, parse_formula, print_formula
@@ -44,18 +43,26 @@ class Derivation(_Value):
     """Base class of proof-tree nodes."""
 
     __slots__ = ()
+    # A rule class's tag; the attributes holding its premises, left first; the attribute
+    # holding its parameter (SO's and WI's formula, written as ``param``, or a leaf's norm,
+    # written as its conclusion); and its conclusion, from the node and the conclusions
+    # computed so far, keyed by ``id``.  The reader checks every stated conclusion against
+    # the last.  A node of a subclass inherits its rule class's.
+    _rule = None
 
 
 class TopIntro(Derivation):
     """Axiom: concludes (true, true)."""
 
     __slots__ = ()
+    _rule = ("TOP", (), None, lambda d, done: Norm(TOP, TOP))
 
 
 class AxiomLeaf(Derivation):
     """Leaf concluding one of the given norms; membership is checked, not assumed."""
 
     __slots__ = ("norm",)
+    _rule = ("AX", (), "norm", lambda d, done: d.norm)
 
     def __init__(self, norm: Norm):
         object.__setattr__(self, "norm", norm)
@@ -65,6 +72,7 @@ class SO(Derivation):
     """From (a, b) conclude (a, output), provided b entails output."""
 
     __slots__ = ("premise", "output")
+    _rule = ("SO", ("premise",), "output", lambda d, done: Norm(done[id(d.premise)].body, d.output))
 
     def __init__(self, premise: Derivation, output: Formula):
         object.__setattr__(self, "premise", premise)
@@ -75,6 +83,7 @@ class WI(Derivation):
     """From (b, c) conclude (input, c), provided input entails b."""
 
     __slots__ = ("premise", "input")
+    _rule = ("WI", ("premise",), "input", lambda d, done: Norm(d.input, done[id(d.premise)].head))
 
     def __init__(self, premise: Derivation, input: Formula):
         object.__setattr__(self, "premise", premise)
@@ -85,33 +94,15 @@ class AND(Derivation):
     """From (a, b) and (a, c) conclude (a, b & c); bodies must be structurally identical."""
 
     __slots__ = ("left", "right")
+    _rule = ("AND", ("left", "right"), None, lambda d, done: Norm(
+        done[id(d.left)].body, And(done[id(d.left)].head, done[id(d.right)].head)))
 
     def __init__(self, left: Derivation, right: Derivation):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-# Each rule's tag; the attributes holding its premises, left first; the attribute holding
-# its parameter (SO's and WI's formula, written as ``param``, or a leaf's norm, written as
-# its conclusion); and its conclusion, from the node and the conclusions computed so far,
-# keyed by ``id``.  The reader checks every stated conclusion against the last.
-_RULES: dict[type, tuple[str, tuple[str, ...], str | None, Callable[..., Norm]]] = {
-    TopIntro: ("TOP", (), None, lambda d, done: Norm(TOP, TOP)),
-    AxiomLeaf: ("AX", (), "norm", lambda d, done: d.norm),
-    SO: ("SO", ("premise",), "output", lambda d, done: Norm(done[id(d.premise)].body, d.output)),
-    WI: ("WI", ("premise",), "input", lambda d, done: Norm(d.input, done[id(d.premise)].head)),
-    AND: ("AND", ("left", "right"), None, lambda d, done: Norm(
-        done[id(d.left)].body, And(done[id(d.left)].head, done[id(d.right)].head))),
-}
-_BY_TAG = {entry[0]: (cls, entry) for cls, entry in _RULES.items()}
-
-
-def _rule(d: Derivation) -> tuple:
-    """The table entry of ``d``'s rule; a node of a subclass reads as the rule it derives from."""
-    for cls in type(d).__mro__:
-        if (entry := _RULES.get(cls)) is not None:
-            return entry
-    raise TypeError(f"not a derivation: {d!r}")
+_BY_TAG = {cls._rule[0]: cls for cls in (TopIntro, AxiomLeaf, SO, WI, AND)}
 
 
 def _walk(d: Derivation) -> tuple[list[tuple], dict[int, Norm]]:
@@ -122,7 +113,8 @@ def _walk(d: Derivation) -> tuple[list[tuple], dict[int, Norm]]:
     stack = [(d, -1, "")]
     while stack:
         node, parent, step = stack.pop()
-        rule = _RULES.get(type(node)) or _rule(node)  # the exact type first: the MRO is slower
+        if not isinstance(node, Derivation) or (rule := node._rule) is None:
+            raise TypeError(f"not a derivation: {node!r}")
         for premise in reversed(rule[1]):
             stack.append((getattr(node, premise), len(order), premise))
         order.append((node, parent, step, rule))
@@ -318,7 +310,8 @@ def derivation_from_dict(record: dict) -> Derivation:
         for r in record["nodes"]:
             if r["rule"] not in _BY_TAG:
                 raise ValueError(f"unknown rule tag {r['rule']!r}")
-            cls, (tag, attrs, param, conclude) = _BY_TAG[r["rule"]]
+            cls = _BY_TAG[r["rule"]]
+            tag, attrs, param, conclude = cls._rule
             # A premise is the index (an int, not a bool) of an earlier node no node has cited.
             # Each rule's constructor takes its premises, left first, then its parameter.
             premises = r["premises"]

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -26,6 +27,7 @@ from iolog import (
     Atom,
     AtomLimitError,
     AxiomLeaf,
+    Derivation,
     Norm,
     NormSet,
     Or,
@@ -391,14 +393,20 @@ def sample_tree(rules: dict, input, output):
 
 
 class TestSubclassedRuleNodes:
-    """A node of a subclass of a rule class reads as that rule everywhere."""
+    """A node of a subclass of a rule class, at any depth, reads as that rule everywhere."""
 
-    @pytest.mark.parametrize("rule", [TopIntro, AxiomLeaf, SO, WI, AND], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("rule, depth", [
+        pytest.param(rule, depth, id="My" * (depth - 1) + rule.__name__)
+        for depth in (1, 2) for rule in (TopIntro, AxiomLeaf, SO, WI, AND)
+    ])
     # Accepted; failing the WI side condition; failing the SO side condition.
     @pytest.mark.parametrize("input, output", [(And(A, B), E), (Or(A, B), E), (And(A, B), C)])
-    def test_reads_as_its_rule(self, rule, input, output):
+    def test_reads_as_its_rule(self, rule, depth, input, output):
         base = sample_tree({}, input, output)
-        sub = sample_tree({rule: type(f"My{rule.__name__}", (rule,), {})}, input, output)
+        cls = rule
+        for _ in range(depth):
+            cls = type(f"My{cls.__name__}", (cls,), {})
+        sub = sample_tree({rule: cls}, input, output)
         assert sub != base
         assert conclusion(sub) == conclusion(base)
         for norms in (ONE_NORM, NormSet(())):  # without (a, e) the leaf is rejected
@@ -407,6 +415,28 @@ class TestSubclassedRuleNodes:
         assert derivation_to_dict(sub) == derivation_to_dict(base)
         assert render_derivation(sub) == render_derivation(base)
         assert derivation_from_dict(json.loads(json.dumps(derivation_to_dict(sub)))) == base
+
+
+class _Impostor:
+    """Not a derivation, though it carries a rule entry as a rule class does."""
+
+    _rule = ("TOP", (), None, lambda d, done: Norm(TOP, TOP))
+
+
+# Each reader refuses a node that is not a derivation carrying a rule, wherever it sits.
+@pytest.mark.parametrize("read", [
+    conclusion, lambda d: verify_derivation(ONE_NORM, d, Norm(A, E)), derivation_to_dict,
+    render_derivation,
+], ids=["conclusion", "verify_derivation", "derivation_to_dict", "render_derivation"])
+@pytest.mark.parametrize("bad", [
+    Derivation(), type("Unruled", (Derivation,), {})(), "x", _Impostor(),
+], ids=["bare", "unruled-subclass", "str", "impostor"])
+@pytest.mark.parametrize("place", [
+    lambda bad: bad, lambda bad: SO(bad, E), lambda bad: SO(AND(TopIntro(), WI(bad, A)), E),
+], ids=["root", "premise", "deep"])
+def test_a_node_without_a_rule_is_not_a_derivation(read, bad, place):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'not a derivation: {bad!r}')}$"):
+        read(place(bad))
 
 
 NAMES = ("a", "b", "c")
