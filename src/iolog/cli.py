@@ -19,10 +19,7 @@ from typing import Sequence
 
 # Only the layers every subcommand uses load here; the others are imported
 # where a subcommand or engine needs them, so a run loads no layer it does not use.
-from .entail import (
-    _DEFAULT_MAX_WORLDS, _TABLE_CEILING, DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET,
-    SearchBudgetError,
-)
+from .entail import _DEFAULT_MAX_WORLDS, _TABLE_CEILING, DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET
 from .formula import Formula, _Error, parse_formula, print_formula
 from .norms import NormSet, load_norms, render_norm
 from .output import _semantic_holds, out1_member, out1_triple_approx, source_ordered_heads
@@ -45,9 +42,8 @@ _BOUNDS = {  # each bound flag's default and help
     "--atom-limit": (DEFAULT_ATOM_LIMIT, "most distinct atoms an entailment may involve; "
                      f"whatever the limit, no table spans more than {_TABLE_CEILING}"),
     "--max-worlds": (_DEFAULT_MAX_WORLDS, "largest world count the countermodel search tries"),
-    "--budget": (DEFAULT_SEARCH_BUDGET, "guard on worlds x atoms before a size is enumerated; "
-                 f"whatever the budget, a search spans at most {_TABLE_CEILING} atoms, "
-                 f"and {_TABLE_CEILING // 2} past one world"),
+    "--budget": (DEFAULT_SEARCH_BUDGET, "a world count is searched only if it tests at most "
+                 f"2^N sets of valuations; whatever the budget, at most 2^{_TABLE_CEILING}"),
 }
 
 
@@ -75,20 +71,10 @@ def _engine(name: str, max_worlds: int):
     return {"semantic": out1_member, "triple": out1_triple_approx}[name], None, None
 
 
-def _one_world(exc: SearchBudgetError) -> str:
-    """The flags that search ``exc``'s atoms at one world, past which they pass the ceiling."""
-    return f"--budget {exc.atom_count} --max-worlds 1 searches one world"
-
-
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     norms, input, goal = _query(args)
     decide, key, write = _engine(args.engine, args.max_worlds)
-    try:
-        verdict = decide(norms, input, goal, atom_limit=args.atom_limit)
-    except SearchBudgetError as exc:  # check has no --budget: name the --max-worlds that fits
-        fits = exc.budget // exc.atom_count
-        hint = f"--max-worlds {fits} keeps within it" if fits else f"countermodel {_one_world(exc)}"
-        raise SearchBudgetError(exc.world_count, exc.atom_count, exc.budget, hint) from None
+    verdict = decide(norms, input, goal, atom_limit=args.atom_limit)
 
     report = {
         "query": _query_doc(norms, input, goal, "out1"),
@@ -124,12 +110,7 @@ def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     from .worlds import LiftedQuery, find_countermodel, world_model_to_dict
     norms, input, goal = _query(args)
     query = LiftedQuery(norms, input, goal, args.mode)
-    try:
-        model = find_countermodel(query, args.max_worlds, budget=args.budget)
-    except SearchBudgetError as exc:  # at one world where two pass the ceiling, name both flags
-        if exc.world_count > 1 or 2 * exc.atom_count <= _TABLE_CEILING:
-            raise
-        raise SearchBudgetError(1, exc.atom_count, exc.budget, _one_world(exc)) from None
+    model = find_countermodel(query, args.max_worlds, budget=args.budget)
 
     report = {
         "query": _query_doc(norms, input, goal, args.mode),

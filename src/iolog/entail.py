@@ -13,6 +13,7 @@ more than ``_TABLE_CEILING`` atoms.  All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 from .formula import And, Atom, Bottom, Formula, Implies, Not, Or, Top, _as_node, _atom_names, _Error
@@ -61,22 +62,16 @@ class AtomLimitError(_Error, ValueError):
 
 
 class SearchBudgetError(_Error, RuntimeError):
-    """The countermodel search would exceed its enumeration ``budget``.  The message names
-    the ``remedy`` given, or else to raise the budget, unless the bound is the table
-    ceiling: past one world the search refuses 2 x atoms over it before any budget does.
-    So at one world over half the ceiling it names raising the budget with one world."""
+    """The countermodel search at ``world_count`` worlds over ``atom_count`` atoms would test
+    more sets of distinct valuations than 2^``budget``, the budget or the table ceiling."""
 
-    _fields = ("world_count", "atom_count", "budget", "remedy")
-    remedy = None
+    _fields = ("world_count", "atom_count", "budget")
 
     def __str__(self) -> str:
-        ceiling = self.budget == _TABLE_CEILING < 2 * self.atom_count
-        one_world = self.world_count == 1 and 2 * self.atom_count > _TABLE_CEILING
-        remedy = self.remedy or ("the table ceiling, which no budget raises" if ceiling else
-                                 f"budget={self.atom_count} with max_worlds=1 searches one world"
-                                 if one_world else "raise the budget to search anyway")
-        return (f"countermodel search budget exceeded: {self.world_count} worlds x "
-                f"{self.atom_count} atoms > {self.budget} ({remedy})")
+        bound = "table ceiling" if self.budget == _TABLE_CEILING else "search budget"
+        sets = math.comb(2**self.atom_count, self.world_count)
+        return (f"countermodel search at {self.world_count} worlds over {self.atom_count} atoms "
+                f"tests {sets} sets, exceeding the {bound} of 2^{self.budget}")
 
 
 def _truth_mask(f: Formula, env: Mapping[str, int], full: int) -> int:

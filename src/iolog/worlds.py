@@ -19,10 +19,11 @@ the witness masks, and the test of a set of points against them.
 from __future__ import annotations
 
 import itertools
+import math
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping
 
-# The search's guard is defined beside the atom limit, so the CLI catches it without this layer.
+# The search's refusal is worded beside the atom limit's, in the layer every table is built by.
 from .entail import DEFAULT_ATOM_LIMIT, DEFAULT_SEARCH_BUDGET, SearchBudgetError
 from .entail import _DEFAULT_MAX_WORLDS, _TABLE_CEILING, _guard, _Tables, _truth_mask
 from .formula import Formula, _Value
@@ -140,11 +141,11 @@ def find_countermodel(
     models by their atom extensions as binary numbers (bit w = membership
     of world w), atoms in lexicographic order: the first model a binary
     counter over the extensions would meet, the last atom cycling fastest.
-    Sizes where world_count x atom_count would exceed the budget raise
-    :class:`SearchBudgetError` instead of silently reporting absence.  Whatever
-    the budget, and before it, more atoms than the table ceiling raise
-    AtomLimitError, and past one world more than half of it raise
-    SearchBudgetError with the ceiling as its bound.
+    A world count W over n atoms is searched only when its C(2^n, W) sets of
+    distinct valuations number at most 2^min(budget, table ceiling); else it
+    raises :class:`SearchBudgetError` instead of silently reporting absence.
+    At one world this is n <= budget, checked before any table is built;
+    whatever the budget, more atoms than the ceiling raise AtomLimitError.
 
     A lifted verdict depends only on the set of valuations the worlds carry,
     so a model repeating one has the verdict of a smaller model, which comes
@@ -156,10 +157,10 @@ def find_countermodel(
     Absence past 2^n worlds is exact.
     """
     _guard(max_worlds, "max_worlds", 1)
-    _guard(budget, "budget")
+    bound = min(_guard(budget, "budget"), _TABLE_CEILING)  # at most 2^bound sets a world count
     names = _query_names(query.norms, query.input, query.goal)
-    if budget < len(names) <= _TABLE_CEILING:  # the one-world guard, before any table is built
-        raise SearchBudgetError(1, len(names), budget)
+    if bound < len(names) <= _TABLE_CEILING:  # the one-world guard, before any table is built
+        raise SearchBudgetError(1, len(names), bound)
     tables = _Tables(names, _TABLE_CEILING, whole=True)  # past the ceiling, AtomLimitError
     env, full = tables.env, tables.full
     masks = _masks(*query._values, tables.truth, full)  # its four fields
@@ -170,11 +171,9 @@ def find_countermodel(
     fails = _one_world_failures(query.mode, masks)
     least = (fails & -fails,) if fails else None  # the lowest valuation's one-bit mask
     world_count, points, family = 1, full.bit_length(), ()
-    # Past one world the one-bit masks take 2^(2n) bits: where 2n exceeds it, the ceiling bounds.
-    bound = budget if 2 * len(names) <= _TABLE_CEILING else _TABLE_CEILING
     while least is None and world_count < min(max_worlds, points):
         world_count += 1
-        if world_count * len(names) > bound:
+        if math.comb(points, world_count) > 1 << bound:  # so no one-bit masks past 13 atoms
             raise SearchBudgetError(world_count, len(names), bound)
         family = family or tuple(dict.fromkeys(_witnesses(query.mode, masks)))  # past the guard
         sets = itertools.combinations([1 << v for v in range(points - 1, -1, -1)], world_count)

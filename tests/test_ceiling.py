@@ -145,9 +145,9 @@ def wide_absent_search(atoms: int) -> LiftedQuery:
 
 
 class TestOneBitMasks:
-    """Past one world the search lists 2^n one-bit masks of up to 2^n bits: 2^(2n) bits,
-    so it refuses a second world where 2n exceeds the ceiling, before the family or the
-    list is built."""
+    """Past one world the search lists 2^n one-bit masks of up to 2^n bits.  Whatever the
+    budget, it refuses two worlds where their C(2^n, 2) sets pass 2^25, the table ceiling,
+    that is past 13 atoms, before the family or the list is built."""
 
     @pytest.fixture(autouse=True)
     def no_family(self, monkeypatch):
@@ -163,16 +163,16 @@ class TestOneBitMasks:
         assert time.monotonic() - started < 1.0
         assert (error.world_count, error.atom_count, error.budget) == (2, 18, _TABLE_CEILING)
         assert str(error) == (
-            "countermodel search budget exceeded: 2 worlds x 18 atoms > 25 "
-            "(the table ceiling, which no budget raises)"
+            "countermodel search at 2 worlds over 18 atoms tests 34359607296 sets, "
+            "exceeding the table ceiling of 2^25"
         )
 
     def test_the_widest_search_past_one_world_goes_on(self):
-        half = _TABLE_CEILING // 2
         with pytest.raises(NoTablePastTheCeiling, match="family"):
-            find_countermodel(wide_absent_search(half), 2, budget=100)
-        refused(lambda: find_countermodel(wide_absent_search(half + 1), 2, budget=100),
-                SearchBudgetError)
+            find_countermodel(wide_absent_search(13), 2, budget=100)
+        error = refused(lambda: find_countermodel(wide_absent_search(14), 2, budget=100),
+                        SearchBudgetError)
+        assert error.args == (2, 14, _TABLE_CEILING)
 
     def test_one_world_needs_no_list(self):
         assert find_countermodel(wide_absent_search(18), 1, budget=100) is None

@@ -378,12 +378,11 @@ class TestCountermodel:
         assert "no countermodel up to 4 worlds" in capsys.readouterr().out
 
     def test_budget_exhaustion_exits_two(self, tmp_path, capsys):
-        """25 atoms overrun the default budget, which --budget 25 raises at one world, and
-        two worlds would pass the table ceiling, so that line names both flags; 26 overrun
+        """25 atoms overrun the default budget at one world, and the line names it; 26 overrun
         the ceiling, which no budget raises, so that line names the ceiling."""
         for atoms, budget, line in [
-            (25, [], "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
-                     "(--budget 25 --max-worlds 1 searches one world)"),
+            (25, [], "countermodel search at 1 worlds over 25 atoms tests 33554432 sets, "
+                     "exceeding the search budget of 2^24"),
             (26, ["--budget", "25"], "query involves 26 atoms, exceeding the table ceiling of 25"),
         ]:
             body = " & ".join(f"x{i}" for i in range(atoms - 1))
@@ -393,25 +392,27 @@ class TestCountermodel:
             assert main([*argv, *budget]) == 2
             assert capsys.readouterr() == ("", f"error: {line}\n")
 
-    def test_budget_error_names_each_commands_remedy(self, tmp_path, capsys):
-        """``countermodel`` has --budget; ``check`` has not, so it names the --max-worlds
-        that keeps 7 atoms within the default budget of 24."""
-        path = tmp_path / "seven.txt"
-        path.write_text("(a & b & c, d & e & f & g)\n", encoding="utf-8")
-        query = ["--norms", str(path), "--input", "a & b & c", "--goal", "d"]
-        exceeded = "error: countermodel search budget exceeded: 4 worlds x 7 atoms > 24"
+    def test_check_and_countermodel_print_the_librarys_line(self, tmp_path, capsys):
+        """Both commands print the refusal as the library words it, with no flag added: 13
+        atoms hold at one world, and two test more sets than the default budget's 2^24."""
+        path = tmp_path / "ae.txt"
+        path.write_text("(a, e)\n", encoding="utf-8")
+        input = " & ".join(["a", *(f"x{i}" for i in range(11))])
+        query = ["--norms", str(path), "--input", input, "--goal", "e"]
+        line = ("error: countermodel search at 2 worlds over 13 atoms tests 33550336 sets, "
+                "exceeding the search budget of 2^24\n")
         assert main(["countermodel", *query]) == 2
-        assert capsys.readouterr() == ("", f"{exceeded} (raise the budget to search anyway)\n")
+        assert capsys.readouterr() == ("", line)
         assert main(["check", *query, "--engine", "lifted"]) == 2
-        assert capsys.readouterr() == ("", f"{exceeded} (--max-worlds 3 keeps within it)\n")
-        assert main(["check", *query, "--engine", "lifted", "--max-worlds", "3"]) == 0
+        assert capsys.readouterr() == ("", line)
+        assert main(["check", *query, "--engine", "lifted", "--max-worlds", "1"]) == 0
 
-    def test_check_names_countermodel_when_one_world_exceeds_the_budget(self, tmp_path, capsys):
-        """At 25 atoms ``countermodel --budget 25 --max-worlds 1`` searches one world; past
+    def test_check_prints_the_one_world_line_past_the_budget(self, tmp_path, capsys):
+        """At 25 atoms one world overruns the default budget, which check cannot raise; past
         the table ceiling no budget would, so the line names the ceiling instead."""
         for atoms, line in [
-            (25, "countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
-                 "(countermodel --budget 25 --max-worlds 1 searches one world)"),
+            (25, "countermodel search at 1 worlds over 25 atoms tests 33554432 sets, "
+                 "exceeding the search budget of 2^24"),
             (26, "query involves 26 atoms, exceeding the table ceiling of 25"),
         ]:
             body = " & ".join(f"x{i}" for i in range(atoms - 1))
@@ -422,38 +423,34 @@ class TestCountermodel:
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {line}\n"
 
-    def test_past_one_world_the_ceiling_refuses_before_the_budget(self, tmp_path, capsys):
-        """13 atoms hold at one world; at two, 2 x 13 exceeds both the default budget and
-        the table ceiling, and the line names the ceiling, which no budget raises."""
+    def test_past_one_world_the_ceiling_bounds_a_raised_budget(self, tmp_path, capsys):
+        """Two worlds over 14 atoms test C(2^14, 2) sets, past 2^25, so whatever the budget
+        the line names the table ceiling, which no budget raises."""
         path = tmp_path / "ae.txt"
         path.write_text("(a, e)\n", encoding="utf-8")
-        input = " & ".join(["a", *(f"x{i}" for i in range(11))])
+        input = " & ".join(["a", *(f"x{i}" for i in range(12))])
         query = ["--norms", str(path), "--input", input, "--goal", "e", "--max-worlds", "2"]
-        exceeded = "error: countermodel search budget exceeded: 2 worlds x 13 atoms > 25"
-        assert main(["countermodel", *query]) == 2
-        assert capsys.readouterr() == (
-            "", f"{exceeded} (the table ceiling, which no budget raises)\n")
-        assert main(["countermodel", *query, "--budget", "100"]) == 2
-        assert capsys.readouterr().err == f"{exceeded} (the table ceiling, which no budget raises)\n"
-        assert main(["check", *query, "--engine", "lifted"]) == 2
-        assert capsys.readouterr().err == f"{exceeded} (--max-worlds 1 keeps within it)\n"
-        assert main(["check", *query, "--engine", "lifted", "--max-worlds", "1"]) == 0
+        line = ("error: countermodel search at 2 worlds over 14 atoms tests 134209536 sets, "
+                "exceeding the table ceiling of 2^25\n")
+        for budget in ("25", "100"):
+            assert main(["countermodel", *query, "--budget", budget]) == 2
+            assert capsys.readouterr() == ("", line)
+        assert main(["countermodel", *query, "--max-worlds", "1"]) == 1
 
-    def test_a_one_world_refusal_past_half_the_ceiling_names_both_flags(self, tmp_path, capsys):
-        """13 atoms over a budget of 12: raising the budget alone gets past one world and
-        stops at the ceiling at two, so the line names one world as well, and that command
-        searches; at 12 atoms two worlds fit in the ceiling, so the budget alone is named."""
-        for atoms, remedy in [(12, "raise the budget to search anyway"),
-                              (13, "--budget 13 --max-worlds 1 searches one world")]:
+    def test_a_one_world_refusal_names_the_budget(self, tmp_path, capsys):
+        """One world over n atoms tests 2^n sets: a budget of n - 1 refuses it, a budget of n
+        searches it and refuses two worlds."""
+        for atoms in (12, 13):
             body = " & ".join(f"p{i}" for i in range(atoms - 1))
             path = tmp_path / "wide.txt"
             path.write_text(f"({body}, e)\n", encoding="utf-8")
             argv = ["countermodel", "--norms", str(path), "--input", "true", "--goal", "true"]
             assert main([*argv, "--budget", str(atoms - 1)]) == 2
-            exceeded = f"countermodel search budget exceeded: 1 worlds x {atoms} atoms"
-            assert capsys.readouterr().err == f"error: {exceeded} > {atoms - 1} ({remedy})\n"
+            assert capsys.readouterr().err == (
+                f"error: countermodel search at 1 worlds over {atoms} atoms tests {2**atoms} "
+                f"sets, exceeding the search budget of 2^{atoms - 1}\n")
         assert main([*argv, "--budget", "13", "--max-worlds", "2"]) == 2
-        assert "2 worlds x 13 atoms > 25" in capsys.readouterr().err
+        assert "at 2 worlds over 13 atoms" in capsys.readouterr().err
         assert main([*argv, "--budget", "13", "--max-worlds", "1"]) == 1
         assert "no countermodel up to 1 worlds" in capsys.readouterr().out
 

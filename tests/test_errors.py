@@ -28,8 +28,9 @@ from iolog.cli import main
 from iolog.formula import _Error
 
 E = parse_formula("e")
-SEVEN = LiftedQuery(  # holds up to 3 worlds, and 4 x 7 atoms overrun the default budget
-    parse_norms("(a & b & c, d & e & f & g)"), parse_formula("a & b & c"), parse_formula("d"), "out1"
+THIRTEEN = LiftedQuery(  # holds at one world, and two test C(2^13, 2) sets, past 2^24
+    parse_norms("(a, e)"), parse_formula(" & ".join(["a", *(f"x{i}" for i in range(11))])), E,
+    "out1",
 )
 
 RAISED = {  # each error as the library raises it, and its fields
@@ -38,7 +39,7 @@ RAISED = {  # each error as the library raises it, and its fields
     UnboundAtomError: (lambda: eval_formula(parse_formula("x"), {}), ("atom",)),
     AtomLimitError: (lambda: entails([parse_formula("a & b")], E, atom_limit=2),
                      ("count", "limit")),
-    SearchBudgetError: (lambda: find_countermodel(SEVEN, 4),
+    SearchBudgetError: (lambda: find_countermodel(THIRTEEN, 4),
                         ("world_count", "atom_count", "budget")),
 }
 
@@ -71,13 +72,6 @@ def test_each_error_pickles_by_its_fields(cls):
     assert type(back) is cls
     assert [getattr(back, name) for name in fields] == [getattr(error, name) for name in fields]
     assert (back.args, str(back), repr(back)) == (error.args, str(error), repr(error))
-
-
-def test_a_given_remedy_is_a_field_that_pickles():
-    error = SearchBudgetError(4, 7, 24, "--max-worlds 3 keeps within it")
-    back = pickle.loads(pickle.dumps(error))
-    assert back.remedy == error.remedy and str(back) == str(error)
-    assert str(back).endswith("(--max-worlds 3 keeps within it)")
 
 
 def test_an_error_reprs_by_its_fields():
@@ -125,5 +119,5 @@ def test_every_error_exits_two_with_one_line(cls, tmp_path, monkeypatch, capsys)
     path = tmp_path / "norms.txt"
     path.write_text("(a, e)\n", encoding="utf-8")
     assert main(["check", "--norms", str(path), "--input", "a", "--goal", "e"]) == 2
-    out, err = capsys.readouterr()  # check rewords a budget error, so only its shape is fixed
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err[-1] == "\n"
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert "\n" not in str(error)

@@ -1,12 +1,15 @@
 """World-lifted evaluation, the countermodel finder, and the naive unfolding."""
 
 import itertools
+import math
 import pickle
 import random
 import time
 
 import pytest
 
+import iolog.entail
+import iolog.worlds
 from conftest import (
     oracle_atoms,
     oracle_eval,
@@ -223,9 +226,9 @@ class TestFindCountermodel:
         assert find_countermodel(query, 4) is None
 
     def test_default_budget_rejects_atom_heavy_queries_up_front(self):
-        # 25 atoms overflow the default worlds x atoms guard at the very
-        # first size, before anything is enumerated; 26 overflow the table
-        # ceiling, which is checked first, since no budget raises it.
+        # 25 atoms give one world 2^25 valuations, past the default budget of 2^24
+        # sets, before anything is enumerated; 26 overflow the table ceiling,
+        # which is checked first, since no budget raises it.
         def query(atoms: int) -> LiftedQuery:
             wide = parse_norms("(" + " & ".join(f"x{i}" for i in range(atoms - 1)) + ", e)")
             return LiftedQuery(wide, parse_formula("true"), parse_formula("true"), "out1")
@@ -233,28 +236,25 @@ class TestFindCountermodel:
         with pytest.raises(SearchBudgetError) as err:
             find_countermodel(query(25), 4)
         assert (err.value.world_count, err.value.atom_count, err.value.budget) == (1, 25, 24)
-        assert str(err.value) == ("countermodel search budget exceeded: 1 worlds x 25 atoms > 24 "
-                                  "(budget=25 with max_worlds=1 searches one world)")
+        assert str(err.value) == ("countermodel search at 1 worlds over 25 atoms tests 33554432 "
+                                  "sets, exceeding the search budget of 2^24")
         with pytest.raises(AtomLimitError) as refused:
             find_countermodel(query(26), 4)
         assert (refused.value.count, refused.value.limit) == (26, 25)
 
-    @pytest.mark.parametrize("atoms, remedy", [
-        (12, "raise the budget to search anyway"),
-        (13, "budget=13 with max_worlds=1 searches one world"),
-    ])
-    def test_a_one_world_refusal_past_half_the_ceiling_names_one_world(self, atoms, remedy):
-        """Over 12 atoms the budget alone gets past one world and the ceiling then refuses
-        two, so the line names one world with the budget, and that call searches."""
+    @pytest.mark.parametrize("atoms", [12, 13])
+    def test_a_one_world_refusal_past_half_the_ceiling_names_one_world(self, atoms):
+        """One world over n atoms tests 2^n sets: a budget of n searches it, and refuses
+        two worlds, whose C(2^n, 2) sets pass 2^n."""
         wide = parse_norms("(" + " & ".join(f"p{i}" for i in range(atoms - 1)) + ", e)")
         query = LiftedQuery(wide, parse_formula("true"), parse_formula("true"), "out1")
         with pytest.raises(SearchBudgetError) as err:
             find_countermodel(query, 4, budget=atoms - 1)
-        exceeded = f"countermodel search budget exceeded: 1 worlds x {atoms} atoms > {atoms - 1}"
-        assert str(err.value) == f"{exceeded} ({remedy})"
-        if atoms == 13:
-            with pytest.raises(SearchBudgetError, match="2 worlds x 13 atoms > 25"):
-                find_countermodel(query, 4, budget=13)
+        assert str(err.value) == (f"countermodel search at 1 worlds over {atoms} atoms tests "
+                                  f"{2**atoms} sets, exceeding the search budget of 2^{atoms - 1}")
+        with pytest.raises(SearchBudgetError) as err:
+            find_countermodel(query, 4, budget=atoms)
+        assert err.value.args == (2, atoms, atoms)
         assert find_countermodel(query, 1, budget=atoms) is None
 
     def test_budget_exceeded_is_an_error_not_absence(self):
@@ -263,10 +263,13 @@ class TestFindCountermodel:
             find_countermodel(query, 4, budget=2)
 
     def test_budget_is_overridable(self):
+        # 4 worlds over 3 atoms test C(8, 4) = 70 sets: more than 2^6, at most 2^7.
         query = LiftedQuery(TWO_NORMS, A, E, "outpre")
-        with pytest.raises(SearchBudgetError):
-            find_countermodel(query, 4, budget=11)
-        assert find_countermodel(query, 4, budget=12) is None
+        with pytest.raises(SearchBudgetError) as err:
+            find_countermodel(query, 4, budget=6)
+        assert err.value.args == (4, 3, 6)
+        assert find_countermodel(query, 4, budget=7) is None
+        assert find_countermodel(query, 4, budget=11) is None
 
     def test_search_is_monotone_in_the_bound(self):
         query = LiftedQuery(TWO_NORMS, Or(A, B), E, "out1")
@@ -293,7 +296,7 @@ class TestFindCountermodel:
         assert time.monotonic() - started < 1.0
 
     def test_a_one_atom_search_stops_after_two_worlds(self):
-        # 25 worlds x 1 atom would exceed the default budget of 24.
+        # One atom has two valuations: no set of three distinct ones is left to test.
         query = LiftedQuery(parse_norms("(a, a)"), A, A, "out1")
         started = time.monotonic()
         assert find_countermodel(query, 30) is None
@@ -318,6 +321,83 @@ class TestFindCountermodel:
             lifted_verdict(norms, parse_formula("a & b & c"), parse_formula("g | !g"),
                            max_worlds=3, budget=budget, atom_limit=5)
         assert time.monotonic() - started < 0.5
+
+
+
+def absent_query(atoms: int, mode: str) -> LiftedQuery:
+    """The norm (c, c), input c and goal c for c the conjunction of ``atoms`` atoms (true at
+    none): no model of any size falsifies it, in either mode."""
+    c = " & ".join(f"p{i}" for i in range(atoms)) or "true"
+    return LiftedQuery(parse_norms(f"({c}, {c})"), parse_formula(c), parse_formula(c), mode)
+
+
+class Reached(Exception):
+    """The search got to the world count it carries without being refused."""
+
+
+class TestAdmission:
+    """A world count W over n atoms is searched only when its C(2^n, W) sets of distinct
+    valuations number at most 2^min(budget, 25), the table ceiling bounding every budget."""
+
+    @staticmethod
+    def first_refused(atoms: int, budget: int) -> int | None:
+        points = 2**atoms
+        return next((w for w in range(1, points + 1)
+                     if math.comb(points, w) > 1 << min(budget, 25)), None)
+
+    @pytest.mark.parametrize("mode", ["outpre", "out1"])
+    @pytest.mark.parametrize("atoms", range(5))
+    def test_the_first_world_count_past_the_budget_is_refused(self, atoms, mode):
+        """Below that count the absent search answers None; from it on it is refused.  At
+        4 atoms all 16 bounds under all 27 budgets take seconds, so there the bounds are
+        one, sixteen and those either side of the first refusal."""
+        query, points = absent_query(atoms, mode), 2**atoms
+        for budget in range(27):
+            first = self.first_refused(atoms, budget)
+            bounds = set(range(1, points + 1))
+            if atoms == 4:
+                bounds = {1, points} | ({first - 1, first} - {0} if first else set())
+            for max_worlds in sorted(bounds):
+                if first is None or max_worlds < first:
+                    assert find_countermodel(query, max_worlds, budget=budget) is None
+                    continue
+                with pytest.raises(SearchBudgetError) as err:
+                    find_countermodel(query, max_worlds, budget=budget)
+                assert err.value.args == (first, atoms, min(budget, 25))
+
+    def test_every_size_within_worlds_x_atoms_is_still_searched(self, monkeypatch):
+        """The former guard admitted W worlds over n atoms where n x W <= 24, the default
+        budget, and past one world only where 2n <= 25.  Each such size still gets past the
+        guard under the default budget: one world builds its tables, and past one the search
+        tests a set of W valuations, every smaller set reported to hold."""
+
+        def tables(names):
+            raise Reached(1)
+
+        def holds(family, sel):
+            if bin(sel).count("1") < world_count:
+                return True
+            raise Reached(bin(sel).count("1"))
+
+        monkeypatch.setattr(iolog.worlds, "_holds", holds)
+        for atoms in range(25):
+            for world_count in range(1, min(2**atoms, 24 // max(atoms, 1)) + 1):
+                if world_count > 1 and 2 * atoms > 25:
+                    continue
+                with monkeypatch.context() as patch:
+                    if world_count == 1:
+                        patch.setattr(iolog.entail, "_valuation_masks", tables)
+                    with pytest.raises(Reached) as reached:
+                        find_countermodel(absent_query(atoms, "out1"), world_count)
+                assert reached.value.args == (world_count,)
+
+    @pytest.mark.parametrize("mode", ["outpre", "out1"])
+    def test_four_atoms_are_searched_to_sixteen_worlds(self, mode):
+        """C(16, 8) = 12870 sets at most, well within the default budget of 2^24; the
+        former worlds x atoms guard refused this search at 7 worlds."""
+        norms = parse_norms("(a & b, c | d)")
+        query = LiftedQuery(norms, parse_formula("a & b"), parse_formula("c | d"), mode)
+        assert find_countermodel(query, 16) is None
 
 
 def all_valuations_model(names):
