@@ -187,7 +187,7 @@ def _witnesses(mode: str, masks: tuple[int, list]) -> Iterator[int]:
 def _holds(witnesses: Iterable[int], sel: int) -> bool:
     """The lifted test in a model whose worlds carry exactly the points in ``sel``: some
     witness never fails there.  Over every point it holds exactly when ``0`` is a mask."""
-    return not all(w & sel for w in witnesses)
+    return not all(map(sel.__and__, witnesses))
 
 
 def out1_triple_approx(

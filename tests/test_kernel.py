@@ -2,19 +2,21 @@
 
 import itertools
 import operator
+import random
 from functools import reduce
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas, norm_sets, oracle_eval, oracle_valuations
+from conftest import formulas, norm_sets, oracle_eval, oracle_valuations, random_formula, random_norm_set
 from iolog import (
     DEFAULT_ATOM_LIMIT,
     TOP,
     And,
     Atom,
     AtomLimitError,
+    Implies,
     LiftedQuery,
     Norm,
     NormSet,
@@ -206,6 +208,47 @@ class TestFindCountermodel:
     def test_no_norms_refute_a_non_tautological_goal_at_one_world(self):
         query = LiftedQuery(NormSet(), Atom("a"), Atom("b"), "out1")
         assert find_countermodel(query, 3) == walk_find_countermodel(query, 3)
+
+    @pytest.mark.parametrize("atoms, max_worlds", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("mode", ["outpre", "out1"])
+    def test_absent_and_found_searches_match_the_old_enumerator(self, atoms, max_worlds, mode):
+        """Absent queries shaped as the benchmark's countermodel pool shapes them: the
+        covering norm first, so a point set meets its zero mask second, and heads that are
+        two-literal disjunctions.  Then random queries whose least countermodel has more
+        than one world, so the search tests point sets to find it."""
+        rng, names = random.Random(f"{atoms}x{max_worlds}/{mode}"), "abcd"[:atoms]
+
+        def literal(name):
+            return Atom(name) if rng.random() < 0.5 else Not(Atom(name))
+
+        def shaped(leaves):
+            if leaves == 1:
+                return literal(rng.choice(names))
+            left = rng.randint(1, leaves - 1)
+            return rng.choice((And, Or, Implies))(shaped(left), shaped(leaves - left))
+
+        def head():
+            return Or(*map(literal, rng.sample(names, 2)))
+
+        def full_width(query):
+            return len(_query_names(query.norms, query.input, query.goal)) == atoms
+
+        absent = found = 0
+        while absent < 4:
+            body, goal = shaped(3), head()
+            norms = NormSet((Norm(body, goal), Norm(shaped(3), head())))
+            query = LiftedQuery(norms, And(body, literal(rng.choice(names))), goal, mode)
+            if full_width(query):
+                assert find_countermodel(query, max_worlds) is None
+                assert walk_find_countermodel(query, max_worlds) is None
+                absent += 1
+        while found < 6:
+            norms = random_norm_set(rng, names, max_norms=3)
+            query = LiftedQuery(norms, random_formula(rng, names), random_formula(rng, names), mode)
+            model = walk_find_countermodel(query, max_worlds) if full_width(query) else None
+            if model is not None and model.world_count > 1:
+                assert find_countermodel(query, max_worlds) == model
+                found += 1
 
 
 # Each entailment of this query stays within 16 atoms (the input and the body
@@ -406,6 +449,17 @@ class TestWitnesses:
         family = list(output._witnesses(mode, masks))
         for sel in range(full + 1):
             assert output._holds(family, sel) is two_branch_holds(mode, masks, sel)
+
+    def test_holds_stops_at_the_first_mask_the_set_misses(self):
+        """An absent search's sets each miss the covering norm's zero mask, which comes
+        second in the benchmark's pool: no mask past the first missed one is read."""
+
+        def witnesses():
+            yield 0b10
+            yield 0b01
+            raise AssertionError("read past the first mask the set misses")
+
+        assert output._holds(witnesses(), 0b10) is True
 
     @settings(max_examples=300)
     @given(st.data(), MODES)
