@@ -45,9 +45,9 @@ class Derivation(_Value):
     __slots__ = ()
     # A rule class's tag; the attributes holding its premises, left first; the attribute
     # holding its parameter (SO's and WI's formula, written as ``param``, or a leaf's norm,
-    # written as its conclusion); and its conclusion, from the node and the conclusions
-    # computed so far, keyed by ``id``.  The reader checks every stated conclusion against
-    # the last.  A node of a subclass inherits its rule class's.
+    # written as its conclusion); and its conclusion as a (body, head) pair, from the node
+    # and the pairs computed so far, keyed by ``id``.  The reader checks every stated
+    # conclusion against the last.  A node of a subclass inherits its rule class's.
     _rule = None
 
 
@@ -55,14 +55,14 @@ class TopIntro(Derivation):
     """Axiom: concludes (true, true)."""
 
     __slots__ = ()
-    _rule = ("TOP", (), None, lambda d, done: Norm(TOP, TOP))
+    _rule = ("TOP", (), None, lambda d, done: (TOP, TOP))
 
 
 class AxiomLeaf(Derivation):
     """Leaf concluding one of the given norms; membership is checked, not assumed."""
 
     __slots__ = ("norm",)
-    _rule = ("AX", (), "norm", lambda d, done: d.norm)
+    _rule = ("AX", (), "norm", lambda d, done: (d.norm.body, d.norm.head))
 
     def __init__(self, norm: Norm):
         object.__setattr__(self, "norm", norm)
@@ -72,7 +72,7 @@ class SO(Derivation):
     """From (a, b) conclude (a, output), provided b entails output."""
 
     __slots__ = ("premise", "output")
-    _rule = ("SO", ("premise",), "output", lambda d, done: Norm(done[id(d.premise)].body, d.output))
+    _rule = ("SO", ("premise",), "output", lambda d, done: (done[id(d.premise)][0], d.output))
 
     def __init__(self, premise: Derivation, output: Formula):
         object.__setattr__(self, "premise", premise)
@@ -83,7 +83,7 @@ class WI(Derivation):
     """From (b, c) conclude (input, c), provided input entails b."""
 
     __slots__ = ("premise", "input")
-    _rule = ("WI", ("premise",), "input", lambda d, done: Norm(d.input, done[id(d.premise)].head))
+    _rule = ("WI", ("premise",), "input", lambda d, done: (d.input, done[id(d.premise)][1]))
 
     def __init__(self, premise: Derivation, input: Formula):
         object.__setattr__(self, "premise", premise)
@@ -94,8 +94,8 @@ class AND(Derivation):
     """From (a, b) and (a, c) conclude (a, b & c); bodies must be structurally identical."""
 
     __slots__ = ("left", "right")
-    _rule = ("AND", ("left", "right"), None, lambda d, done: Norm(
-        done[id(d.left)].body, And(done[id(d.left)].head, done[id(d.right)].head)))
+    _rule = ("AND", ("left", "right"), None, lambda d, done: (
+        done[id(d.left)][0], And(done[id(d.left)][1], done[id(d.right)][1])))
 
     def __init__(self, left: Derivation, right: Derivation):
         object.__setattr__(self, "left", left)
@@ -105,10 +105,12 @@ class AND(Derivation):
 _BY_TAG = {cls._rule[0]: cls for cls in (TopIntro, AxiomLeaf, SO, WI, AND)}
 
 
-def _walk(d: Derivation) -> tuple[list[tuple], dict[int, Norm]]:
+def _walk(d: Derivation, read: list | None = None) -> tuple[list[tuple], dict[int, tuple]]:
     """Every node of ``d`` in pre-order (a node before its premises, left before right),
     each with its parent's position in the list, the attribute that holds it there and its
-    rule; and every node's conclusion keyed by ``id``, computed once from its premises'."""
+    rule; every node's conclusion, a (body, head) pair keyed by ``id``, computed once from
+    its premises'; and, appended to ``read``, each leaf's body and head, SO output and WI
+    input, in pre-order."""
     order: list[tuple] = []
     stack = [(d, -1, "")]
     while stack:
@@ -117,16 +119,24 @@ def _walk(d: Derivation) -> tuple[list[tuple], dict[int, Norm]]:
             raise TypeError(f"not a derivation: {node!r}")
         for premise in reversed(rule[1]):
             stack.append((getattr(node, premise), len(order), premise))
+        if read is not None and rule[2]:
+            p = getattr(node, rule[2])
+            read += (p.body, p.head) if isinstance(p, Norm) else (p,)
         order.append((node, parent, step, rule))
-    concluded: dict[int, Norm] = {}
+    concluded: dict[int, tuple] = {}
     for node, _, _, rule in reversed(order):
         concluded[id(node)] = rule[3](node, concluded)
     return order, concluded
 
 
+def _as_norm(d: Derivation, pair: tuple) -> Norm:
+    """The norm ``d`` concludes, given its pair: a leaf's own norm, else one built."""
+    return d.norm if d._rule[0] == "AX" else Norm(*pair)
+
+
 def conclusion(d: Derivation) -> Norm:
-    """The pair a well-formed tree concludes, computed structurally."""
-    return _walk(d)[1][id(d)]
+    """The norm a well-formed tree concludes, computed structurally."""
+    return _as_norm(d, _walk(d)[1][id(d)])
 
 
 class CheckFailure(_Value):
@@ -159,10 +169,8 @@ def verify_derivation(
     where those atoms are too many to share, each is decided over its own.
     """
     _guard(atom_limit, "atom_limit")  # before the walk: a bad limit is named before a bad tree
-    order, concluded = _walk(d)
+    order, concluded = _walk(d, read := [])
     # Masks are memoised by identity: the tree and ``concluded`` hold each formula asked about.
-    params = [getattr(node, param) for node, _, _, (_, _, param, _) in order if param]
-    read = [f for p in params for f in ((p.body, p.head) if isinstance(p, Norm) else (p,))]
     tables = _Tables(_atom_names(read), atom_limit)
     given = set(map(id, norms.norms))  # a leaf's norm is most often one of these, not a copy
     for position, (node, _, _, (tag, _, _, _)) in enumerate(order):
@@ -171,17 +179,17 @@ def verify_derivation(
                 continue
             reason = f"axiom {render_norm(node.norm)} is not in the norm set"
         elif tag == "SO" or tag == "WI":
-            pair = concluded[id(node.premise)]
+            body, head = concluded[id(node.premise)]
             if tag == "SO":  # the head's conjuncts: the same test, no recursion per conjoined norm
-                strong, weak, premises = pair.head, node.output, _conjuncts(pair.head)
+                strong, weak, premises = head, node.output, _conjuncts(head)
             else:  # the input as one premise, its mask shared by every WI node over it
-                strong, weak, premises = node.input, pair.body, (node.input,)
+                strong, weak, premises = node.input, body, (node.input,)
             if tables.entails(premises, weak):
                 continue
             reason = (f"{tag} side condition fails: {print_formula(strong)} does not entail "
                       f"{print_formula(weak)}")
         elif tag == "AND":
-            lbody, rbody = concluded[id(node.left)].body, concluded[id(node.right)].body
+            lbody, rbody = concluded[id(node.left)][0], concluded[id(node.right)][0]
             if lbody is rbody or lbody == rbody:
                 continue
             reason = (f"AND premises conclude different bodies: {print_formula(lbody)} vs "
@@ -193,8 +201,8 @@ def verify_derivation(
             _, position, step, _ = order[position]
             path.append(step)
         return CheckFailure(tuple(reversed(path)), reason)
-    if (pair := concluded[id(d)]) != goal:
-        reason = f"conclusion {render_norm(pair)} does not match goal {render_norm(goal)}"
+    if (norm := _as_norm(d, concluded[id(d)])) != goal:
+        reason = f"conclusion {render_norm(norm)} does not match goal {render_norm(goal)}"
         return CheckFailure((), reason)
     return None
 
@@ -280,12 +288,8 @@ def derivation_to_dict(d: Derivation) -> dict:
     order, concluded = _walk(d)
     records: list[dict] = []
     for node, parent, _, (tag, _, param, _) in order:
-        pair = concluded[id(node)]
-        record = {
-            "rule": tag,
-            "conclusion_body": print_formula(pair.body),
-            "conclusion_head": print_formula(pair.head),
-        }
+        body, head = map(print_formula, concluded[id(node)])
+        record = {"rule": tag, "conclusion_body": body, "conclusion_head": head}
         if param is not None and param != "norm":
             record["param"] = print_formula(getattr(node, param))
         record["premises"] = []
@@ -306,7 +310,7 @@ def derivation_from_dict(record: dict) -> Derivation:
     try:
         built: list[Derivation] = []
         cited: set[int] = set()
-        concluded: dict[int, Norm] = {}
+        concluded: dict[int, tuple] = {}
         for r in record["nodes"]:
             if r["rule"] not in _BY_TAG:
                 raise ValueError(f"unknown rule tag {r['rule']!r}")
@@ -328,7 +332,7 @@ def derivation_from_dict(record: dict) -> Derivation:
             node = cls(*args)
             pair = concluded[id(node)] = conclude(node, concluded)
             # Printed text, not parsed formulas: a long AND head nests past MAX_DEPTH.
-            if print_formula(pair.body) != body or print_formula(pair.head) != head:
+            if print_formula(pair[0]) != body or print_formula(pair[1]) != head:
                 raise ValueError(f"node {len(built)} ({tag}) misstates its conclusion")
             built.append(node)
         if len(cited) < len(built) - 1:

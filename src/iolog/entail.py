@@ -155,6 +155,13 @@ class _Tables:
             return entails(premises, conclusion, atom_limit=self.atom_limit)
         return not self.counterexamples(premises, conclusion)
 
+    def triggered(self, input: Formula, norms: Iterable) -> list:
+        """The norms whose body ``input`` entails, in order: on shared tables, one AND per norm."""
+        if not self.shared:
+            return [n for n in norms if self.entails((input,), n.body)]
+        inp, full, mask = self.mask(input), self.full, self.mask
+        return [n for n in norms if not inp & (full ^ mask(n.body))]
+
 
 def eval_formula(f: Formula, valuation: Valuation) -> bool:
     """Truth value of ``f``, reading each value of ``valuation`` by truth; unmapped atoms

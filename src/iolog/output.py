@@ -74,7 +74,7 @@ def _trigger(
     """One engine call's set-up: its tables over the atoms of the input, any goal and the
     norms; the norms whose body the input entails, in norm-set order; and their heads."""
     tables = _Tables(_query_names(norms, input, *goal), atom_limit)
-    triggered = [n for n in norms if tables.entails((input,), n.body)]
+    triggered = tables.triggered(input, norms)
     return tables, triggered, frozenset(n.head for n in triggered)
 
 

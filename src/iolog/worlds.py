@@ -79,14 +79,19 @@ class WorldModel(_Value):
         return frozenset(range(self.world_count))
 
 
+def _check_mode(mode: str) -> None:
+    """Refuse a mode the encodings do not read, for a query and the naive unfolding alike."""
+    if mode not in ("outpre", "out1"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'outpre' or 'out1'")
+
+
 class LiftedQuery(_Value):
     """A membership question posed to the lifted encodings or the naive unfolding."""
 
     __slots__ = ("norms", "input", "goal", "mode")
 
     def __init__(self, norms: NormSet, input: Formula, goal: Formula, mode: Mode):
-        if mode not in ("outpre", "out1"):
-            raise ValueError(f"unknown mode {mode!r}; expected 'outpre' or 'out1'")
+        _check_mode(mode)
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "goal", goal)
@@ -220,7 +225,7 @@ def naive_unfold_valid(
     membership test: together with the law of excluded middle it
     validates claims the real operation rejects.
     """
-    LiftedQuery(norms, input, goal, mode)  # rejects an unknown mode
+    _check_mode(mode)
     tables = _Tables(_query_names(norms, input, goal), atom_limit, whole=True)
     return not _one_world_failures(mode, _masks(norms, input, goal, mode, tables.truth, tables.full))
 

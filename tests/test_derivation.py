@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings
 
 from conftest import formulas, norm_sets, random_formula, random_norm_set
 from pointwise import (
+    per_entailment_triggered,
     recursive_conclusion,
     recursive_derivation_to_dict,
     recursive_render_derivation,
@@ -27,6 +30,7 @@ from iolog import (
     Atom,
     AtomLimitError,
     AxiomLeaf,
+    CheckFailure,
     Derivation,
     Norm,
     NormSet,
@@ -46,6 +50,7 @@ from iolog import (
 )
 from iolog import derivation, entail
 from iolog.entail import _Tables
+from iolog.output import _query_names
 
 A, B, C, E = Atom("a"), Atom("b"), Atom("c"), Atom("e")
 TWO_NORMS = parse_norms("(a, e)\n(b, e)")
@@ -488,6 +493,10 @@ def tamper(d, rng, f):
     )
 
 
+class LabelledNorm(Norm):
+    """A norm of a subclass: equal fields, yet never equal to a plain ``Norm``."""
+
+
 def outcome(check, *args, **kwargs):
     """What ``check`` returns, or the fields of the ``AtomLimitError`` it raises."""
     try:
@@ -557,7 +566,8 @@ class TestAgainstRecursiveReference:
 
     @staticmethod
     def check(norms, d, goal):
-        assert conclusion(d) == recursive_conclusion(d)
+        concluded = conclusion(d)  # a Norm, not the walk's (body, head) pair
+        assert type(concluded) is Norm and concluded == recursive_conclusion(d)
         # Below the tree's atom count no table is shared, and each side condition is decided
         # over its own atoms, raising where they exceed the limit.  Each limit is checked
         # twice: the second call reads the atom names the first left in the ``_atoms`` slots.
@@ -565,6 +575,10 @@ class TestAgainstRecursiveReference:
             expected = outcome(recursive_verify_derivation, norms, d, goal, limit)
             for _ in range(2):
                 assert outcome(verify_derivation, norms, d, goal, atom_limit=limit) == expected
+        # The tree's own conclusion as a goal of a subclass, which no built Norm equals.
+        labelled = LabelledNorm(concluded.body, concluded.head)
+        expected = recursive_verify_derivation(norms, d, labelled)
+        assert verify_derivation(norms, d, labelled) == expected
         assert derivation_to_dict(d) == recursive_derivation_to_dict(d)
         assert render_derivation(d) == recursive_render_derivation(d)
 
@@ -610,6 +624,19 @@ class TestAgainstRecursiveReference:
         with pytest.raises(ValueError, match=f"node {index} "):
             derivation_from_dict({"nodes": nodes})
 
+    def test_a_leaf_concludes_its_own_norm(self):
+        """A leaf at the root concludes the norm it holds, of whatever class: that norm
+        matches a goal of its class and no other."""
+        norm = LabelledNorm(A, E)
+        norms = NormSet((norm,))
+        assert conclusion(AxiomLeaf(norm)) is norm
+        assert verify_derivation(norms, AxiomLeaf(norm), LabelledNorm(A, E)) is None
+        failure = verify_derivation(norms, AxiomLeaf(norm), Norm(A, E))
+        assert failure == CheckFailure((), "conclusion (a, e) does not match goal (a, e)")
+        wi = WI(AxiomLeaf(norm), A)  # any other node's conclusion is a plain Norm
+        assert type(conclusion(wi)) is Norm
+        assert verify_derivation(norms, wi, LabelledNorm(A, E)).path == ()
+
     def test_shared_subtree_is_checked_and_written_at_each_place(self):
         leaf = WI(AxiomLeaf(Norm(A, B)), A)
         d = AND(leaf, leaf)
@@ -620,6 +647,60 @@ class TestAgainstRecursiveReference:
         assert [r["rule"] for r in record["nodes"]] == ["AX", "WI", "AX", "WI", "AND"]
         assert record == recursive_derivation_to_dict(d)
         assert derivation_from_dict(record) == d
+
+
+WIDE_NAMES = tuple("abcdef")
+
+
+class TestTriggering:
+    """``_Tables.triggered`` against one public entailment per norm: on shared tables by one
+    AND per norm, and past them each over its own atoms, raising where they exceed the limit."""
+
+    @settings(max_examples=300)
+    @given(norm_sets(WIDE_NAMES, max_norms=5), formulas(WIDE_NAMES, max_leaves=4))
+    def test_against_one_entailment_per_norm(self, norms, input):
+        names = _query_names(norms, input)
+        for limit in (*range(8), DEFAULT_ATOM_LIMIT):
+            tables = _Tables(names, limit)
+            assert tables.shared == (len(names) <= limit)
+            expected = outcome(lambda: list(per_entailment_triggered(norms, input, limit)))
+            assert outcome(tables.triggered, input, norms) == expected
+
+
+class TestThreads:
+    def test_threads_sharing_one_norm_set_and_certificate_agree(self):
+        """Four threads derive and check over one norm set, whose atom names the first call
+        fills, and one certificate: no call shares state with another."""
+        norms = parse_norms("".join(f"(a | p{i}, e{i})\n(b & p{i}, f)\n" for i in range(6)))
+        input, goal, f = map(parse_formula, ("a & c", "e0 & e5", "f"))
+        certificate = derive_verdict(NormSet(norms.norms), input, goal).certificate
+        wrong = SO(certificate.premise, f)
+        start, results = threading.Barrier(4, timeout=30), [None] * 4
+
+        def run(k):
+            start.wait()
+            results[k] = [
+                (derive_verdict(norms, input, goal),
+                 verify_derivation(norms, certificate, Norm(input, goal)),
+                 verify_derivation(norms, wrong, Norm(input, f)))
+                for _ in range(20)
+            ]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that the calls can overlap
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        failure = verify_derivation(norms, wrong, Norm(input, f))
+        assert failure.path == () and failure.reason.startswith("SO side condition fails: e0 & ")
+        expected = (derive_verdict(norms, input, goal), None, failure)
+        assert results == [[expected] * 20] * 4
 
 
 class TestOneSetOfTables:

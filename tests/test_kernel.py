@@ -387,10 +387,11 @@ class TestTripleKernel:
         assert verdict.holds is False
         assert out1_member(norms, input, FOUR_GOAL).holds is True
 
-    @pytest.mark.parametrize("norms, calls", [(FOUR_HEADS, 4), (WIDE_FOUR_HEADS, 5 + 1 + 20)])
+    @pytest.mark.parametrize("norms, calls", [(FOUR_HEADS, 0), (WIDE_FOUR_HEADS, 5 + 1 + 20)])
     def test_shared_tables_ask_no_entailment_per_triple(self, monkeypatch, norms, calls):
-        """Triggering asks one entailment per norm; past the shared tables the tautology
-        check and each of the C(6, 3) triples of four heads ask one more."""
+        """On shared tables no entailment is asked: triggering reads masks too.  Past them
+        triggering asks one entailment per norm, and the tautology check and each of the
+        C(6, 3) triples of four heads ask one more."""
         asked = []
 
         class Counted(_Tables):  # output's tables only: not the ones the public entails builds

@@ -500,6 +500,16 @@ class TestNaiveUnfolding:
         with pytest.raises(ValueError):
             naive_unfold_valid(TWO_NORMS, A, E, "out2")
 
+    @pytest.mark.parametrize("mode", ["x", "OUT1", None])
+    def test_an_unknown_mode_is_refused_in_the_words_of_a_query(self, mode):
+        with pytest.raises(ValueError) as naive:
+            naive_unfold_valid(TWO_NORMS, A, E, mode)
+        with pytest.raises(ValueError) as query:
+            LiftedQuery(TWO_NORMS, A, E, mode)
+        assert str(naive.value) == str(query.value) == (
+            f"unknown mode {mode!r}; expected 'outpre' or 'out1'"
+        )
+
 
 class TestRendering:
     def test_text_form(self):
