@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import Sequence
@@ -231,15 +232,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    report = None
     try:
         report, code = args.func(args)
         if args.format == "structured":
             import json  # only here: a text report does not load it
-            print(json.dumps(report, indent=2))
+            print(json.dumps(report, indent=2), flush=True)
         else:
-            print("\n".join(args.text(report)))
+            print("\n".join(args.text(report)), flush=True)
         return code
-    except (_Error, OSError, UnicodeDecodeError) as exc:  # every iolog error, by its base
+    except (_Error, OSError, UnicodeError) as exc:  # iolog errors by their base; a failed write
+        if report is not None:  # built, not written: the exit-time flush goes to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -118,12 +118,13 @@ def _valuation_masks(names: list[str]) -> tuple[dict[str, int], int]:
 class _Tables:
     """Truth tables over every valuation of the atom ``names``: every table is built here.
     ``output._trigger`` passes the names of an engine's input, any goal and every norm
-    (``norms._norm_names``); one entailment, the naive unfolding and the countermodel
-    search pass ``whole``.  Each formula's mask is computed once, memoised by identity,
-    so ask only about formulas that outlive the tables.  Unless ``whole``, more names
-    than ``_JOINT_ATOMS`` or the limit get no tables, and each entailment is decided
-    over its own atoms.  Either way an entailment raises AtomLimitError only when its
-    own atoms exceed the limit, or ``_TABLE_CEILING``, which no limit raises."""
+    (``norms._norm_names``), and ``derivation.verify_derivation`` those of its leaves'
+    norms, WI inputs and SO outputs; one entailment, the naive unfolding and the
+    countermodel search pass ``whole``.  Each formula's mask is computed once, memoised
+    by identity, so ask only about formulas that outlive the tables.  Unless ``whole``,
+    more names than ``_JOINT_ATOMS`` or the limit get no tables, and each entailment is
+    decided over its own atoms.  Either way an entailment raises AtomLimitError only
+    when its own atoms exceed the limit, or ``_TABLE_CEILING``, which no limit raises."""
 
     def __init__(self, names: Iterable[str], atom_limit: int, whole: bool = False):
         self.atom_limit = _guard(atom_limit, "atom_limit")

@@ -622,3 +622,31 @@ def test_each_subcommand_loads_only_its_layers(norms_file, argv, loaded):
     )
     assert done.returncode in (0, 1), done.stderr
     assert done.stderr == f"{sorted(loaded)}\n"
+
+
+@pytest.mark.parametrize("sink", ["full device", "closed pipe", "ascii encoding"])
+def test_a_report_that_cannot_be_written_exits_two(norms_file, sink):
+    """With stdout buffered, as it is unless PYTHONUNBUFFERED is set, a report that cannot
+    be written exits 2 with one error line: a failed flush is not left to the exit-time
+    flush (exit 120), nor an unencodable ``⊢`` to a traceback (exit 1)."""
+    if sink == "full device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(iolog.__file__).parents[1])
+    argv = [sys.executable, "-m", "iolog.cli", "check", "--norms", norms_file,
+            "--input", "a", "--goal", "e", "--engine", "derivation"]
+    if sink == "full device":
+        out = os.open("/dev/full", os.O_WRONLY)
+    elif sink == "closed pipe":
+        read, out = os.pipe()
+        os.close(read)  # a pipe whose reader is gone: every write to it fails with EPIPE
+    else:
+        out, env["PYTHONIOENCODING"] = subprocess.PIPE, "ascii"
+    try:
+        done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        if out != subprocess.PIPE:
+            os.close(out)
+    assert not done.stdout  # nothing of the report is written
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr
