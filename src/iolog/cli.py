@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from functools import partial
@@ -193,8 +194,17 @@ def _add_common(parser: argparse.ArgumentParser, *bounds: str, with_query: bool 
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """Help goes through ``_write``, as a report does: argparse's own write drops a failed
+        write, and falls back to stderr when there is no stdout."""
+        if file is not None:
+            return super().print_help(file)
+        _write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iolog",
         description="Decide norm-conditioned obligations, search countermodels, "
         "and demonstrate the unsound naive encoding.",
@@ -230,29 +240,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it, or raise OSError; after a failed write fd 1 goes to
+    os.devnull, so the exit-time flush cannot fail again (exit 120)."""
+    if sys.stdout is None:  # fd 1 was closed at start-up, and print would drop the text
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, UnicodeError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+def _fail(message: str) -> int:
+    """Exit code 2, with one ``error:`` line on stderr if stderr takes it; if it does not, fd 2
+    goes to os.devnull, as fd 1 does in ``_write``."""
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    report = None
+    try:
+        args = _build_parser().parse_args(argv)
+    except OSError as exc:  # --help that could not be written
+        return _fail(str(exc))
     try:
         report, code = args.func(args)
         if args.format == "structured":
             import json  # only here: a text report does not load it
-            print(json.dumps(report, indent=2), flush=True)
+            _write(json.dumps(report, indent=2) + "\n")
         else:
-            print("\n".join(args.text(report)), flush=True)
+            _write("\n".join(args.text(report)) + "\n")
         return code
     except (_Error, OSError, UnicodeError) as exc:  # iolog errors by their base; a failed write
-        if report is not None:  # built, not written: the exit-time flush goes to os.devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     except MemoryError:
         pass  # report once the handler has dropped the traceback and the tables it holds
     # The flag that bounds the work; the matrix of ``examples`` runs at fixed bounds.
     hint = {"countermodel": " (a lower --budget bounds the search)", "examples": ""}.get(
         args.command, " (a lower --atom-limit bounds the truth tables)")
-    print(f"error: out of memory{hint}", file=sys.stderr)
-    return 2
+    return _fail(f"out of memory{hint}")
 
 
 if __name__ == "__main__":

@@ -650,3 +650,44 @@ def test_a_report_that_cannot_be_written_exits_two(norms_file, sink):
     assert not done.stdout  # nothing of the report is written
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr
+
+
+# Closes the file descriptor argv[1], then execs argv[2:], which finds it closed at start-up.
+CLOSE_AND_EXEC = "import os, sys; os.close(int(sys.argv[1])); os.execv(sys.argv[2], sys.argv[2:])"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fd", ["closed stdout", "closed stderr", "read-only stderr"])
+def test_a_closed_stdout_or_stderr_exits_two(tmp_path, norms_file, fd, unbuffered):
+    """A report that print would drop to a None stdout exits 2 with one error line, not 0; an
+    error line that stderr cannot take exits 2 with nothing on stdout, not 120 or 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iolog.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)  # empty is unset
+    norms = norms_file if fd == "closed stdout" else str(tmp_path / "missing.norms")
+    argv = [sys.executable, "-m", "iolog.cli", "check", "--norms", norms,
+            "--input", "a", "--goal", "e"]
+    if fd.startswith("closed"):
+        argv = [sys.executable, "-c", CLOSE_AND_EXEC, "1" if "stdout" in fd else "2", *argv]
+    with open(os.devnull, "rb") as read_only:  # writes to a read-only fd 2 fail with EBADF
+        stderr = read_only if fd == "read-only stderr" else subprocess.PIPE
+        done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=stderr, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b""), done.stderr
+    if fd == "closed stdout":
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full device", "closed stdout"])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["iolog", "check"])
+def test_help_that_cannot_be_written_exits_two(argv, redirect, unbuffered):
+    """Help that stdout cannot take exits 2 with one error line, as a report does: argparse
+    alone drops the failed write and exits 0 (or 120 at the exit-time flush), and with no
+    stdout it writes the help to stderr."""
+    if "full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = dict(os.environ, PYTHONPATH=str(Path(iolog.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)  # empty is unset
+    argv = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "iolog.cli", *argv]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b""), done.stderr
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1, done.stderr

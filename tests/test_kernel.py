@@ -364,8 +364,8 @@ WIDE_FOUR_HEADS = NormSet((*FOUR_HEADS, Norm(parse_formula(" & ".join(p_atoms(13
 
 
 class TestTripleKernel:
-    """The triple engine decides by ``output._holds`` on shared tables and one entailment
-    per triple past them; the per-entailment reference decides both ways alike."""
+    """The triple engine decides by ``0 in output._witnesses(...)`` on shared tables and one
+    entailment per triple past them; the per-entailment reference decides both ways alike."""
 
     @settings(max_examples=400)
     @given(
